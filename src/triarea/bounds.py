@@ -14,16 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .arrangement import (
-    PROPER,
-    Arrangement,
-    Line,
-    frame_params,
-    frame_scale,
-    intersect,
-    triple_area,
-)
-from .census import AreaCensus, census, facial_triangles
+from .arrangement import Arrangement, frame_params, frame_scale, intersect
+from .census import AreaCensus, census, facial_triangles, per_line_counts, triples_with_area
 from .scalars import Scalar, exact_sign
 
 
@@ -261,12 +253,7 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
         )
     else:
         face_set = set(faces)
-        bad = []
-        for i, j, k in combinations(range(n), 3):
-            area, status = triple_area(arr.lines[i], arr.lines[j], arr.lines[k])
-            if status == PROPER and exact_sign(area - min_area) == 0:
-                if (i, j, k) not in face_set:
-                    bad.append((i, j, k))
+        bad = [t for t in triples_with_area(arr, min_area, cen) if t not in face_set]
         checks.append(
             CheckResult(
                 name="min_area_triangles_all_facial",
@@ -289,9 +276,7 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
             )
         return BoundsReport(n=n, checks=checks)
 
-    from .census import per_line_counts
-
-    plc = per_line_counts(arr, max_area)
+    plc = per_line_counts(arr, max_area, cen=cen)
     cap = 2 * (n - 2)
     over = [i for i, c in enumerate(plc) if c > cap]
     checks.append(
@@ -332,11 +317,7 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
     )
 
     bad_interior = []
-    max_triples = []
-    for i, j, k in combinations(range(n), 3):
-        area, status = triple_area(arr.lines[i], arr.lines[j], arr.lines[k])
-        if status == PROPER and exact_sign(area - max_area) == 0:
-            max_triples.append((i, j, k))
+    max_triples = list(triples_with_area(arr, max_area, cen))
     for (i, j, k) in max_triples:
         tri = (arr.lines[i], arr.lines[j], arr.lines[k])
         verts = [intersect(tri[0], tri[1]), intersect(tri[0], tri[2]), intersect(tri[1], tri[2])]

@@ -1,27 +1,32 @@
 """Complete triangle-area census of an arrangement.
 
-Every triple of lines is classified (proper / concurrent / parallel pair)
-and proper triples are grouped by exact area.  Rational arrangements whose
-canonical integer coefficients certify int64-safe intermediates run on the
-compiled or vectorized kernels in _kernels; everything else (and every
-verification) uses exact scalar arithmetic.
+The census is one table over the C(n,3) triples in lexicographic i<j<k
+order: an int32 area-class id per triple, indexing a list that holds one
+exact area per class.  Two reserved negative ids mark concurrent triples
+and triples with a parallel pair.  Rational arrangements whose canonical
+integer coefficients certify int64-safe intermediates build the table on
+the kernels in _kernels, one ``Fraction`` per distinct area; everything
+else builds it with exact scalar arithmetic.  Counts, the memoised area
+ordering and its extremes, per-line counts, the triples of a given area,
+the bound checks and the colored triple system all read this one table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, combinations, compress
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .arrangement import (
     CONCURRENT,
-    HAS_PARALLEL_PAIR,
     PROPER,
     Arrangement,
-    Line,
     choose_reference_frame,
     frame_params,
     triple_area,
@@ -30,79 +35,96 @@ from .scalars import Scalar, exact_sign
 
 UNIT_AREA = Fraction(1)
 
+# class ids of the two kinds of degenerate triple; proper triples get ids >= 0
+CONCURRENT_ID = -1
+PARALLEL_ID = -2
+
+Triple = Tuple[int, int, int]
+
 
 class AreaCensus:
-    """Census result: per-area triangle counts plus degeneracy counts."""
+    """Census table: an area-class id per triple, plus one exact area and
+    one triangle count per class."""
 
-    def __init__(
-        self,
-        n: int,
-        area_counts: Dict[Scalar, int],
-        concurrent: int,
-        parallel: int,
-        backend: str,
-    ) -> None:
+    def __init__(self, n: int, areas: List[Scalar], class_ids: np.ndarray, backend: str) -> None:
         self.n = n
-        self.area_counts = area_counts
-        self.concurrent_count = concurrent
-        self.parallel_count = parallel
+        self.areas = areas
+        self.class_ids = class_ids
         self.backend = backend
+        proper_ids = class_ids[class_ids >= 0]
+        self.class_counts: List[int] = np.bincount(proper_ids, minlength=len(areas)).tolist()
+        self.concurrent_count = int(np.count_nonzero(class_ids == CONCURRENT_ID))
+        self.parallel_count = int(np.count_nonzero(class_ids == PARALLEL_ID))
+
+    @cached_property
+    def area_counts(self) -> Dict[Scalar, int]:
+        return dict(zip(self.areas, self.class_counts))
 
     @property
     def proper_count(self) -> int:
-        return sum(self.area_counts.values())
+        return sum(self.class_counts)
 
     @property
     def total_triples(self) -> int:
-        return self.proper_count + self.concurrent_count + self.parallel_count
+        return len(self.class_ids)
 
     @property
     def distinct_count(self) -> int:
-        return len(self.area_counts)
+        return len(self.areas)
+
+    @cached_property
+    def _class_of(self) -> Dict[Scalar, int]:
+        return {area: c for c, area in enumerate(self.areas)}
 
     def count(self, area: Scalar) -> int:
-        return self.area_counts.get(area, 0)
+        c = self._class_of.get(area)
+        return 0 if c is None else self.class_counts[c]
 
     @property
     def unit_count(self) -> int:
         return self.count(UNIT_AREA)
 
-    def _extreme(self, want_max: bool) -> Optional[Scalar]:
-        best = None
-        for area in self.area_counts:
-            if best is None:
-                best = area
-            else:
-                s = exact_sign(area - best)
-                if (s > 0) if want_max else (s < 0):
-                    best = area
-        return best
+    @cached_property
+    def _order(self) -> np.ndarray:
+        # class ids by increasing area; Fraction and QuadExt compare exactly
+        # with their own `<`
+        order = sorted(range(len(self.areas)), key=self.areas.__getitem__)
+        return np.array(order, dtype=np.int32)
 
-    @property
+    def sorted_items(self) -> List[Tuple[Scalar, int]]:
+        """(area, count) pairs in increasing area order; the classes are
+        sorted once."""
+        return [(self.areas[c], self.class_counts[c]) for c in self._order.tolist()]
+
+    def _extreme(self, want_max: bool) -> Optional[Scalar]:
+        if not self.areas:
+            return None
+        return self.areas[self._order[-1 if want_max else 0]]
+
+    @cached_property
     def min_area(self) -> Optional[Scalar]:
         return self._extreme(want_max=False)
 
-    @property
+    @cached_property
     def max_area(self) -> Optional[Scalar]:
         return self._extreme(want_max=True)
 
     @property
     def max_area_count(self) -> int:
         m = self.max_area
-        return 0 if m is None else self.area_counts[m]
+        return 0 if m is None else self.count(m)
 
     @property
     def min_area_count(self) -> int:
         m = self.min_area
-        return 0 if m is None else self.area_counts[m]
+        return 0 if m is None else self.count(m)
 
-    def sorted_items(self) -> List[Tuple[Scalar, int]]:
-        """(area, count) pairs in increasing area order."""
-        items = list(self.area_counts.items())
-        import functools
-
-        items.sort(key=functools.cmp_to_key(lambda u, v: exact_sign(u[0] - v[0])))
-        return items
+    def triples_mask(self, area: Scalar) -> np.ndarray:
+        """Boolean mask over the triples whose triangle has exactly this area."""
+        c = self._class_of.get(area)
+        if c is None:
+            return np.zeros(len(self.class_ids), dtype=bool)
+        return self.class_ids == c
 
     def __repr__(self) -> str:
         return (
@@ -150,82 +172,79 @@ def select_backend(arr: Arrangement, backend: str = "auto") -> str:
 
 
 def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
+    """Classify every triple once, in lexicographic i<j<k order.
+
+    Both builders number the area classes by first appearance in that
+    order, so they produce identical tables.
+    """
     chosen = select_backend(arr, backend)
     if chosen == "exact":
-        return _census_exact(arr)
-    coeffs = integer_coefficients(arr)
-    num, den, status = _kernels.census_int64(coeffs, chosen)
-    proper = status == _kernels.STATUS_PROPER
-    counts: Dict[Scalar, int] = {}
-    if proper.any():
-        pairs = np.stack([num[proper], den[proper]], axis=1)
-        uniq, cnt = np.unique(pairs, axis=0, return_counts=True)
-        for (nm, dn), c in zip(uniq.tolist(), cnt.tolist()):
-            counts[Fraction(nm, dn)] = int(c)
-    return AreaCensus(
-        n=arr.n,
-        area_counts=counts,
-        concurrent=int((status == _kernels.STATUS_CONCURRENT).sum()),
-        parallel=int((status == _kernels.STATUS_PARALLEL).sum()),
-        backend=chosen,
-    )
+        areas, class_ids = _classify_exact(arr)
+    else:
+        areas, class_ids = _classify_int64(integer_coefficients(arr), chosen)
+    return AreaCensus(arr.n, areas, class_ids, chosen)
 
 
-def _census_exact(arr: Arrangement) -> AreaCensus:
-    counts: Dict[Scalar, int] = {}
-    concurrent = parallel = 0
+def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
+    class_of: Dict[Scalar, int] = {}
+    ids = []
     for l1, l2, l3 in combinations(arr.lines, 3):
         area, status = triple_area(l1, l2, l3)
         if status == PROPER:
-            counts[area] = counts.get(area, 0) + 1
-        elif status == CONCURRENT:
-            concurrent += 1
+            ids.append(class_of.setdefault(area, len(class_of)))
         else:
-            parallel += 1
-    return AreaCensus(
-        n=arr.n,
-        area_counts=counts,
-        concurrent=concurrent,
-        parallel=parallel,
-        backend="exact",
-    )
+            ids.append(CONCURRENT_ID if status == CONCURRENT else PARALLEL_ID)
+    return list(class_of), np.array(ids, dtype=np.int32)
 
 
-def triples_with_area(arr: Arrangement, area: Scalar) -> Iterator[Tuple[int, int, int]]:
-    """Index triples whose triangle has exactly the given area."""
-    for i, j, k in combinations(range(arr.n), 3):
-        got, status = triple_area(arr.lines[i], arr.lines[j], arr.lines[k])
-        if status == PROPER and exact_sign(got - area) == 0:
-            yield (i, j, k)
+def _classify_int64(coeffs: np.ndarray, backend: str) -> Tuple[List[Scalar], np.ndarray]:
+    num, den, status = _kernels.census_int64(coeffs, backend)
+    class_ids = np.full(len(status), PARALLEL_ID, dtype=np.int32)
+    class_ids[status == _kernels.STATUS_CONCURRENT] = CONCURRENT_ID
+    proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
+    pairs = np.stack([num[proper], den[proper]], axis=1)
+    del num, den, status  # free the kernel's C(n,3) arrays before np.unique
+    if proper.size == 0:
+        return [], class_ids
+    uniq, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    # renumber the classes by first appearance, as the exact builder does
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    class_ids[proper] = rank[inverse.reshape(-1)]
+    nums, dens = uniq[order].T.tolist()
+    return [Fraction(nm, dn) for nm, dn in zip(nums, dens)], class_ids
 
 
-def per_line_counts(arr: Arrangement, area: Scalar, backend: str = "auto") -> List[int]:
-    """For each line, how many triangles of the given area use it."""
+def triples_with_area(
+    arr: Arrangement, area: Scalar, cen: Optional[AreaCensus] = None
+) -> Iterator[Triple]:
+    """Index triples whose triangle has exactly the given area, read from
+    ``cen`` (the arrangement's census, built here when not given)."""
+    if cen is None:
+        cen = census(arr)
+    return compress(combinations(range(arr.n), 3), cen.triples_mask(area))
+
+
+def per_line_counts(
+    arr: Arrangement, area: Scalar, backend: str = "auto", cen: Optional[AreaCensus] = None
+) -> List[int]:
+    """For each line, how many triangles of the given area use it, read from
+    ``cen`` (the arrangement's census, built here when not given)."""
+    if cen is None:
+        cen = census(arr, backend)
+    counts = Counter(chain.from_iterable(triples_with_area(arr, area, cen)))
+    return [counts[i] for i in range(arr.n)]
+
+
+def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
+    """Proper triples realized as faces, in lexicographic order: no other
+    line meets the open triangle, i.e. no line has vertices strictly on both
+    of its sides."""
     chosen = select_backend(arr, backend)
-    out = [0] * arr.n
-    if chosen != "exact" and isinstance(area, Fraction):
-        coeffs = integer_coefficients(arr)
-        num, den, status = _kernels.census_int64(coeffs, chosen)
-        I, J, K = _kernels.combo_index_arrays(arr.n)
-        hit = (
-            (status == _kernels.STATUS_PROPER)
-            & (num == area.numerator)
-            & (den == area.denominator)
-        )
-        for arrp in (I[hit], J[hit], K[hit]):
-            for idx, c in zip(*np.unique(arrp, return_counts=True)):
-                out[int(idx)] += int(c)
-        return out
-    for i, j, k in triples_with_area(arr, area):
-        out[i] += 1
-        out[j] += 1
-        out[k] += 1
-    return out
-
-
-def facial_triangles(arr: Arrangement) -> List[Tuple[int, int, int]]:
-    """Proper triples realized as faces: no other line meets the open
-    triangle, i.e. no line has vertices strictly on both of its sides."""
+    if chosen != "exact":
+        mask = _kernels.facial_int64(integer_coefficients(arr), chosen)
+        return list(compress(combinations(range(arr.n), 3), mask))
     out = []
     verts = {}
     for i, j in combinations(range(arr.n), 2):
@@ -264,11 +283,7 @@ def facial_triangles(arr: Arrangement) -> List[Tuple[int, int, int]]:
 
 
 def facial_triangle_count(arr: Arrangement, backend: str = "auto") -> int:
-    chosen = select_backend(arr, backend)
-    if chosen == "exact":
-        return len(facial_triangles(arr))
-    coeffs = integer_coefficients(arr)
-    return int(_kernels.facial_int64(coeffs, chosen).sum())
+    return len(facial_triangles(arr, backend))
 
 
 def frame_identity_sum(pi, pj, pk) -> Scalar:
@@ -292,7 +307,7 @@ def unit_count_by_frame_identity(arr: Arrangement) -> int:
     rf = choose_reference_frame(arr)
     ps = frame_params(rf.ref_line, rf.arrangement.lines)
     assert len(ps) == arr.n
-    ps = sorted(ps, key=lambda p: _XKey(p.x))
+    ps = sorted(ps, key=attrgetter("x"))
     two = Fraction(2)
     total = 0
     for pi, pj, pk in combinations(ps, 3):
@@ -305,16 +320,3 @@ def unit_count_by_frame_identity(arr: Arrangement) -> int:
         if exact_sign(frame_identity_sum(pi, pj, pk) - two) == 0:
             total += 1
     return total
-
-
-class _XKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return exact_sign(self.v - other.v) < 0
-
-    def __eq__(self, other):
-        return exact_sign(self.v - other.v) == 0

@@ -135,6 +135,11 @@ def _cmd_generate(args) -> int:
 def _cmd_census(args) -> int:
     start = time.monotonic()
     arr, digest = _read_arrangement(args.file, min_lines=3)
+    area = parse_scalar(args.per_line) if args.per_line is not None else None
+    if args.facial and not args.json:
+        # pipe-friendly: the facial count alone, without the census
+        print(facial_triangle_count(arr, backend=args.backend))
+        return EXIT_OK
     cen = census(arr, backend=args.backend)
     report = _base_report("census", digest, arr)
     report["backend"] = cen.backend
@@ -156,16 +161,11 @@ def _cmd_census(args) -> int:
         results["max_area_count"] = cen.max_area_count
     if args.facial:
         results["facial_count"] = facial_triangle_count(arr, backend=args.backend)
-    if args.per_line is not None:
-        area = parse_scalar(args.per_line)
+    if area is not None:
         results["per_line_area"] = format_scalar(area)
-        results["per_line_counts"] = per_line_counts(arr, area, backend=args.backend)
+        results["per_line_counts"] = per_line_counts(arr, area, cen=cen)
     report["results"] = results
 
-    if args.facial and not args.json:
-        # pipe-friendly: the facial count alone
-        print(results["facial_count"])
-        return EXIT_OK
     human = [
         f"n {arr.n}  field {arr.field_name()}  backend {cen.backend}",
         f"triples {cen.total_triples}  proper {cen.proper_count}"
@@ -180,7 +180,7 @@ def _cmd_census(args) -> int:
         human.append(
             f"max area {format_scalar(cen.max_area)} x{cen.max_area_count}"
         )
-    if args.per_line is not None:
+    if area is not None:
         human.append(f"per-line counts for area {results['per_line_area']}:")
         for i, c in enumerate(results["per_line_counts"]):
             human.append(f"  line {i}: {c}")

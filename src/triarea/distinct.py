@@ -10,13 +10,11 @@ validates its output exhaustively before returning it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from . import _kernels
-from .arrangement import PROPER, Arrangement, Line, triple_area
-from .census import integer_coefficients, select_backend
+from .arrangement import Arrangement, Line
+from .census import census
 
 DEGENERATE = "degenerate"
 
@@ -45,25 +43,14 @@ class ColoredTripleSystem:
 
     @classmethod
     def from_arrangement(cls, arr: Arrangement, backend: str = "auto") -> "ColoredTripleSystem":
-        colors: Dict[Triple, Hashable] = {}
-        chosen = select_backend(arr, backend)
-        if chosen != "exact":
-            coeffs = integer_coefficients(arr)
-            num, den, status = _kernels.census_int64(coeffs, chosen)
-            I, J, K = _kernels.combo_index_arrays(arr.n)
-            proper = status == _kernels.STATUS_PROPER
-            for t in range(len(I)):
-                key: Hashable
-                if proper[t]:
-                    key = Fraction(int(num[t]), int(den[t]))
-                else:
-                    key = DEGENERATE
-                colors[(int(I[t]), int(J[t]), int(K[t]))] = key
-        else:
-            for i, j, k in combinations(range(arr.n), 3):
-                area, stat = triple_area(arr.lines[i], arr.lines[j], arr.lines[k])
-                colors[(i, j, k)] = area if stat == PROPER else DEGENERATE
-        return cls(arr.n, colors)
+        """Colors read from the census table: every triple of one area
+        class shares that class's exact area object."""
+        cen = census(arr, backend)
+        # proper class ids index the areas; the two negative degenerate ids
+        # index DEGENERATE from the end of the palette
+        palette = cen.areas + [DEGENERATE, DEGENERATE]
+        colors = map(palette.__getitem__, cen.class_ids)
+        return cls(arr.n, dict(zip(combinations(range(arr.n), 3), colors)))
 
     def color(self, i: int, j: int, k: int) -> Hashable:
         return self.colors[tuple(sorted((i, j, k)))]

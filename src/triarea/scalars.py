@@ -423,7 +423,7 @@ def exact_sign(x: Scalar) -> int:
 def _quadext_sign(x: QuadExt) -> int:
     # Interval fast path: decides every nonzero value at some precision,
     # cheap for the common case deep in a tower.
-    for bits in (64, 192):
+    for bits in (DEFAULT_PRECISION_BITS, 3 * DEFAULT_PRECISION_BITS):
         s = interval_of(x, bits).sign_or_none()
         if s is not None:
             return s

@@ -2,8 +2,12 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triarea.arrangement import Arrangement, Line, intersect
 from triarea.census import (
@@ -99,6 +103,13 @@ def test_facial_count_matches_oracle(arr):
     assert facial_triangle_count(arr) == oracle_facial_count(arr)
 
 
+@pytest.mark.parametrize(
+    "arr", [a for a in CASES if select_backend(a) != "exact"], ids=lambda a: f"n{a.n}"
+)
+def test_facial_triangles_kernel_matches_exact(arr):
+    assert facial_triangles(arr) == facial_triangles(arr, backend="exact")
+
+
 def test_facial_triangles_consistent_with_count():
     arr = random_arrangement(11, seed=7)
     tris = facial_triangles(arr)
@@ -164,3 +175,54 @@ def test_census_rejects_small():
     cen = census(arr)
     assert cen.total_triples == 0
     assert cen.proper_count == 0
+
+
+def _lines(draw, n, ab, c):
+    """An arrangement of up to n distinct lines drawn from the strategies."""
+    lines = []
+    for _ in range(n):
+        a, b = draw(ab), draw(ab)
+        if a or b:
+            lines.append(Line(a, b, draw(c)))
+    return Arrangement(dict.fromkeys(lines))
+
+
+@st.composite
+def near_gate_arrangements(draw):
+    # the int64 gate needs 48*A^4*C^2 < 2^62 with A = max |a|, |b| and
+    # C = max(|c|, A); draw A, then the largest C it allows, and favour the
+    # extreme coefficients so that the products reach the bound
+    A = draw(st.integers(1, 600))
+    C = isqrt((2**62 - 1) // (48 * A**4))
+    ab = st.one_of(st.sampled_from([-A, A]), st.integers(-A, A))
+    c = st.one_of(st.sampled_from([-C, C, 1 - C, C - 1]), st.integers(-C, C))
+    return _lines(draw, draw(st.integers(3, 8)), ab, c)
+
+
+@st.composite
+def small_grids(draw):
+    # few directions and offsets: many parallel pairs and concurrent triples
+    return _lines(draw, draw(st.integers(3, 12)), st.integers(-2, 2), st.integers(-3, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(near_gate_arrangements(), small_grids()))
+def test_table_builders_agree(arr):
+    assume(arr.n >= 3)
+    fast = census(arr, backend="numpy")
+    exact = census(arr, backend="exact")
+    assert fast.areas == exact.areas
+    assert fast.sorted_items() == exact.sorted_items()
+    assert fast.class_ids.dtype == exact.class_ids.dtype == np.int32
+    assert np.array_equal(fast.class_ids, exact.class_ids)
+    assert (fast.concurrent_count, fast.parallel_count) == (
+        exact.concurrent_count,
+        exact.parallel_count,
+    )
+    for area in {fast.min_area, fast.max_area, UNIT_AREA} - {None}:
+        counts = per_line_counts(arr, area, backend="numpy")
+        assert counts == per_line_counts(arr, area, backend="exact")
+        assert sum(counts) == 3 * exact.count(area)
+        triples = list(triples_with_area(arr, area, fast))
+        assert triples == list(triples_with_area(arr, area, exact))
+        assert len(triples) == exact.count(area)

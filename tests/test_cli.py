@@ -107,6 +107,11 @@ def test_census_facial_prints_bare_count(capsys, monkeypatch, tmp_path):
     code = main(["generate", "hexgrid", "-n", "12", "-o", str(path)])
     capsys.readouterr()
     assert code == EXIT_OK
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the bare facial count needs no census")
+
+    monkeypatch.setattr("triarea.cli.census", no_census)
     code, out, _ = run_cli(capsys, ["census", str(path), "--facial"])
     assert code == EXIT_OK
     assert out == "24\n"

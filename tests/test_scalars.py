@@ -2,6 +2,9 @@
 parsing and printing."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -125,6 +128,25 @@ class TestSign:
         if x.rad != y.rad:
             return
         assert (x < y) + (x == y) + (x > y) == 1
+
+
+    def test_precision_env_sets_first_sign_attempt(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "import triarea.scalars as s\n"
+            "bits, interval_of = [], s.interval_of\n"
+            "def recording(x, b=s.DEFAULT_PRECISION_BITS):\n"
+            "    bits.append(b)\n"
+            "    return interval_of(x, b)\n"
+            "s.interval_of = recording\n"
+            "s.exact_sign(s.QuadExt(F(9, 4), F(-1), F(5)))\n"
+            "print(bits[0])\n"
+        )
+        env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.stdout.strip() == "8", out.stderr
 
 
 class TestIntervals:
