@@ -1,17 +1,21 @@
-"""Integer fast paths for the triangle census.
+"""Integer fast paths for the triangle census and the facial triangles.
 
 Rational arrangements in canonical form have integer coefficients; when the
 coefficient magnitudes certify that every intermediate fits in int64 (see
-int64_safe), the census over all C(n,3) triples runs on machine integers.
-Two backends share the same triple enumeration order (lexicographic i<j<k):
-compiled loops (numba) and vectorized numpy.  Set TRIAREA_NO_NUMBA=1 to
-force the numpy backend; exact arithmetic in census.py remains the fallback
-and the ground truth.
+int64_safe), both run on machine integers.  The census over all C(n,3)
+triples, in lexicographic i<j<k order, has two backends: compiled loops
+(numba, optional; TRIAREA_NO_NUMBA=1 disables it) and vectorized numpy.
+Facial triangles have one algorithm for every backend: sort the crossing
+points along each line (crossing_ranks_int64 here, the exact scalars'
+``<`` in census.py) and keep the triples whose three sides join
+consecutive crossings (faces_from_ranks), O(n^2 log n) in all.  Exact
+arithmetic in census.py remains the fallback and the ground truth.
 """
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -19,6 +23,9 @@ import numpy as np
 STATUS_PROPER = 0
 STATUS_CONCURRENT = 1
 STATUS_PARALLEL = 2
+
+# crossing rank of a parallel pair and of a line with itself
+NO_CROSSING = -2
 
 _DISABLED = os.environ.get("TRIAREA_NO_NUMBA", "") not in ("", "0")
 
@@ -35,11 +42,16 @@ else:
 
 
 def int64_safe(coeffs: np.ndarray) -> bool:
-    """True when every census intermediate provably fits in int64.
+    """True when every census and crossing-order intermediate provably fits
+    in int64.
 
     With A = max(|a|,|b|) and C = max(|c|, A): vertex entries are at most
     2*A*C (coordinates) and 2*A*A (weight), the 3x3 determinant at most
-    48*A^4*C^2, the denominator 16*A^6, and the facial dot product 6*A^2*C.
+    48*A^4*C^2 and the denominator 16*A^6.  The crossing order along a line
+    compares N_p*W_q with N_q*W_p, where N = a*Y - b*X is at most 4*A^2*C
+    and W at most 2*A^2: each product is at most 8*A^4*C and their
+    difference 16*A^4*C, which the determinant bound covers since C >= 1
+    whenever A >= 1.
     """
     a = np.abs(coeffs[:, 0]).max(initial=0)
     b = np.abs(coeffs[:, 1]).max(initial=0)
@@ -102,45 +114,6 @@ def _census_numpy(coeffs: np.ndarray):
     return num // g, den // g, status
 
 
-def _facial_numpy(coeffs: np.ndarray, chunk: int = 1 << 15) -> np.ndarray:
-    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    n = len(coeffs)
-    I, J, K = combo_index_arrays(n)
-    num, den, status = _census_numpy(coeffs)
-    mask = status == STATUS_PROPER
-    out = np.zeros(len(I), dtype=bool)
-    idx_all = np.nonzero(mask)[0]
-    for start in range(0, len(idx_all), chunk):
-        idx = idx_all[start : start + chunk]
-        i, j, k = I[idx], J[idx], K[idx]
-
-        def vert(p, q):
-            return (
-                b[p] * c[q] - b[q] * c[p],
-                c[p] * a[q] - c[q] * a[p],
-                a[p] * b[q] - a[q] * b[p],
-            )
-
-        vs = [vert(i, j), vert(i, k), vert(j, k)]
-        pos = np.zeros((len(idx), n), dtype=bool)
-        neg = np.zeros((len(idx), n), dtype=bool)
-        for (px, py, w) in vs:
-            # sign of line m at the vertex: sign((a_m px + b_m py + c_m w) * w)
-            val = (
-                np.outer(px, a) + np.outer(py, b) + np.outer(w, c)
-            ) * w[:, None]
-            pos |= val > 0
-            neg |= val < 0
-        cut = pos & neg
-        # lines of the triple never straddle their own triangle
-        rows = np.arange(len(idx))
-        cut[rows, i] = False
-        cut[rows, j] = False
-        cut[rows, k] = False
-        out[idx] = ~cut.any(axis=1)
-    return out
-
-
 if HAVE_NUMBA:
 
     @njit(cache=True)
@@ -191,55 +164,6 @@ if HAVE_NUMBA:
                     pos += 1
         return num, den, status
 
-    @njit(cache=True)
-    def _facial_numba(coeffs):  # pragma: no cover - exercised via dispatch
-        n = coeffs.shape[0]
-        m = n * (n - 1) * (n - 2) // 6
-        out = np.zeros(m, dtype=np.bool_)
-        pos = 0
-        for i in range(n):
-            ai, bi, ci = coeffs[i, 0], coeffs[i, 1], coeffs[i, 2]
-            for j in range(i + 1, n):
-                aj, bj, cj = coeffs[j, 0], coeffs[j, 1], coeffs[j, 2]
-                x1 = bi * cj - bj * ci
-                y1 = ci * aj - cj * ai
-                w1 = ai * bj - aj * bi
-                for k in range(j + 1, n):
-                    ak, bk, ck = coeffs[k, 0], coeffs[k, 1], coeffs[k, 2]
-                    x2 = bi * ck - bk * ci
-                    y2 = ci * ak - ck * ai
-                    w2 = ai * bk - ak * bi
-                    x3 = bj * ck - bk * cj
-                    y3 = cj * ak - ck * aj
-                    w3 = aj * bk - ak * bj
-                    if w1 == 0 or w2 == 0 or w3 == 0:
-                        pos += 1
-                        continue
-                    det = (
-                        x1 * (y2 * w3 - w2 * y3)
-                        - y1 * (x2 * w3 - w2 * x3)
-                        + w1 * (x2 * y3 - y2 * x3)
-                    )
-                    if det == 0:
-                        pos += 1
-                        continue
-                    ok = True
-                    for t in range(n):
-                        if t == i or t == j or t == k:
-                            continue
-                        at, bt, ct = coeffs[t, 0], coeffs[t, 1], coeffs[t, 2]
-                        s1 = (at * x1 + bt * y1 + ct * w1) * w1
-                        s2 = (at * x2 + bt * y2 + ct * w2) * w2
-                        s3 = (at * x3 + bt * y3 + ct * w3) * w3
-                        has_pos = s1 > 0 or s2 > 0 or s3 > 0
-                        has_neg = s1 < 0 or s2 < 0 or s3 < 0
-                        if has_pos and has_neg:
-                            ok = False
-                            break
-                    out[pos] = ok
-                    pos += 1
-        return out
-
 
 def census_int64(coeffs: np.ndarray, backend: str):
     """Reduced (num, den) and status per triple; backend 'numba' or 'numpy'."""
@@ -250,10 +174,79 @@ def census_int64(coeffs: np.ndarray, backend: str):
     return _census_numpy(coeffs)
 
 
-def facial_int64(coeffs: np.ndarray, backend: str) -> np.ndarray:
-    """Facial mask aligned with the census triple order."""
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend unavailable")
-        return _facial_numba(coeffs)
-    return _facial_numpy(coeffs)
+
+
+def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:
+    """Rank matrix R for faces_from_ranks: R[i, j] is the rank of the point
+    i∩j among the distinct crossing points on line i, ordered along the line.
+
+    The crossing sits at parameter N/W along line i, with N = a_i*Y - b_i*X
+    for the homogeneous crossing (X, Y, W) and W made positive.  Rows are
+    sorted by the float64 key N/W; every adjacent pair is then compared
+    exactly as N_p*W_q against N_q*W_p (bounded by 8*A^4*C, see int64_safe),
+    which gives equal points one rank and sends a misordered row to an exact
+    re-sort.  Inside the gate 8*A^4*C < 2^50, so distinct crossings differ
+    by more than 2^-50 of their size and their float keys never tie or
+    misorder; the exact pass certifies this instead of relying on it.
+    """
+    a, b, c = (coeffs[:, m, None] for m in range(3))
+    X = b * c.T - b.T * c
+    Y = c * a.T - c.T * a
+    W = a * b.T - a.T * b
+    N = (a * Y - b * X) * np.sign(W)
+    W = np.abs(W)
+    crosses = W != 0
+    key = np.divide(N, W, out=np.full(W.shape, np.inf), where=crosses)
+    order = np.argsort(key, axis=1, kind="stable")
+    del key
+    Ns = np.take_along_axis(N, order, axis=1)
+    Ws = np.take_along_axis(W, order, axis=1)
+    # parallel lines sort last (key inf), so a valid right end means a valid pair
+    valid = np.take_along_axis(crosses, order, axis=1)
+    paired = valid[:, 1:]
+    d = Ns[:, :-1] * Ws[:, 1:] - Ns[:, 1:] * Ws[:, :-1]
+    for i in np.flatnonzero(((d > 0) & paired).any(axis=1)):
+        m = int(crosses[i].sum())
+        row = sorted(order[i, :m].tolist(), key=lambda j: Fraction(int(N[i, j]), int(W[i, j])))
+        order[i, :m] = row
+        Ns[i], Ws[i] = N[i, order[i]], W[i, order[i]]
+        d[i] = Ns[i, :-1] * Ws[i, 1:] - Ns[i, 1:] * Ws[i, :-1]
+    ranks = np.zeros(order.shape, dtype=np.int64)
+    np.cumsum((d < 0) & paired, axis=1, out=ranks[:, 1:])
+    ranks[~valid] = NO_CROSSING
+    R = np.empty_like(ranks)
+    np.put_along_axis(R, order, ranks, axis=1)
+    return R
+
+
+def faces_from_ranks(R: np.ndarray) -> np.ndarray:
+    """Facial triangles (i, j, k), i<j<k, as an (m, 3) array in lexicographic
+    order, from a crossing-rank matrix (NO_CROSSING for parallel pairs and
+    the diagonal).
+
+    A proper triple is facial iff, on each of its three lines, its two
+    vertices are consecutive distinct crossing points: a line meeting the
+    open triangle crosses an open side, and a line crossing an open side
+    enters the triangle.  Concurrent triples have rank difference 0 and
+    drop out.  Each face is found once, from its smallest line i, among
+    the pairs j, k > i at ranks r and r+1 on line i.
+    """
+    n = len(R)
+    upper = np.triu(R >= 0, k=1)
+    i, j = np.nonzero(upper)
+    g = i * n + R[i, j]  # one group per distinct crossing point on line i
+    order = np.argsort(g, kind="stable")
+    g, i, j = g[order], i[order], j[order]
+    lo = np.searchsorted(g, g + 1, side="left")
+    cnt = np.searchsorted(g, g + 1, side="right") - lo
+    left = np.repeat(np.arange(len(g)), cnt)
+    right = np.arange(int(cnt.sum())) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
+    i, j, k = i[left], j[left], j[right]
+    facial = (np.abs(R[j, i] - R[j, k]) == 1) & (np.abs(R[k, i] - R[k, j]) == 1)
+    faces = np.stack([i, np.minimum(j, k), np.maximum(j, k)], axis=1)[facial]
+    return faces[np.lexsort(faces.T[::-1])]
+
+
+def facial_int64(coeffs: np.ndarray) -> np.ndarray:
+    """Facial triangles of an int64-safe arrangement, as faces_from_ranks."""
+    return faces_from_ranks(crossing_ranks_int64(coeffs))

@@ -27,6 +27,7 @@ from .arrangement import (
     CONCURRENT,
     PROPER,
     Arrangement,
+    _homogeneous_vertex,
     choose_reference_frame,
     frame_params,
     triple_area,
@@ -146,7 +147,7 @@ def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
                 return None
             row.append(coeff.numerator)
         rows.append(row)
-    mat = np.array(rows, dtype=object)
+    mat = np.array(rows, dtype=object).reshape(-1, 3)
     if (np.abs(mat) >= 2**62).any():
         return None
     return mat.astype(np.int64)
@@ -239,47 +240,31 @@ def per_line_counts(
 
 def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
     """Proper triples realized as faces, in lexicographic order: no other
-    line meets the open triangle, i.e. no line has vertices strictly on both
-    of its sides."""
-    chosen = select_backend(arr, backend)
-    if chosen != "exact":
-        mask = _kernels.facial_int64(integer_coefficients(arr), chosen)
-        return list(compress(combinations(range(arr.n), 3), mask))
-    out = []
-    verts = {}
-    for i, j in combinations(range(arr.n), 2):
-        w = arr.lines[i].a * arr.lines[j].b - arr.lines[j].a * arr.lines[i].b
-        if exact_sign(w) != 0:
-            px = arr.lines[i].b * arr.lines[j].c - arr.lines[j].b * arr.lines[i].c
-            py = arr.lines[i].c * arr.lines[j].a - arr.lines[j].c * arr.lines[i].a
-            verts[(i, j)] = (px, py, w)
-    for i, j, k in combinations(range(arr.n), 3):
-        vs = [verts.get((i, j)), verts.get((i, k)), verts.get((j, k))]
-        if any(v is None for v in vs):
-            continue
-        det = (
-            vs[0][0] * (vs[1][1] * vs[2][2] - vs[1][2] * vs[2][1])
-            - vs[0][1] * (vs[1][0] * vs[2][2] - vs[1][2] * vs[2][0])
-            + vs[0][2] * (vs[1][0] * vs[2][1] - vs[1][1] * vs[2][0])
-        )
-        if exact_sign(det) == 0:
-            continue
-        face = True
-        for t in range(arr.n):
-            if t in (i, j, k):
-                continue
-            lt = arr.lines[t]
-            has_pos = has_neg = False
-            for (px, py, w) in vs:
-                s = exact_sign((lt.a * px + lt.b * py + lt.c * w) * w)
-                has_pos |= s > 0
-                has_neg |= s < 0
-            if has_pos and has_neg:
-                face = False
-                break
-        if face:
-            out.append((i, j, k))
-    return out
+    line meets the open triangle.  The crossing points along each line are
+    ranked on the int64 path when the gate allows, else with the scalars'
+    exact ``<``; _kernels.faces_from_ranks keeps the triples whose sides
+    join consecutive crossings."""
+    if select_backend(arr, backend) == "exact":
+        faces = _kernels.faces_from_ranks(_crossing_ranks_exact(arr))
+    else:
+        faces = _kernels.facial_int64(integer_coefficients(arr))
+    return list(map(tuple, faces.tolist()))
+
+
+def _crossing_ranks_exact(arr: Arrangement) -> np.ndarray:
+    ranks = np.full((arr.n, arr.n), _kernels.NO_CROSSING, dtype=np.int64)
+    for i, li in enumerate(arr.lines):
+        where = {}  # parameter of each crossing along li
+        for j, lj in enumerate(arr.lines):
+            x, y, w = _homogeneous_vertex(li, lj)
+            if j != i and exact_sign(w) != 0:
+                where[j] = (li.a * y - li.b * x) / w
+        rank, prev = -1, None
+        for j in sorted(where, key=where.__getitem__):
+            if rank < 0 or where[j] != prev:
+                rank, prev = rank + 1, where[j]
+            ranks[i, j] = rank
+    return ranks
 
 
 def facial_triangle_count(arr: Arrangement, backend: str = "auto") -> int:

@@ -1,6 +1,7 @@
 """Census tests against an independent brute-force oracle."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import isqrt
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from triarea.arrangement import Arrangement, Line, intersect
+from triarea.arrangement import AffineMap, Arrangement, Line, intersect
 from triarea.census import (
     UNIT_AREA,
     census,
@@ -20,6 +21,7 @@ from triarea.census import (
     triples_with_area,
     unit_count_by_frame_identity,
 )
+from triarea.chain import max_chain
 from triarea.constructions import (
     hexgrid,
     pentagon,
@@ -51,9 +53,9 @@ def oracle_census(arr):
     return areas, concurrent, parallel
 
 
-def oracle_facial_count(arr):
+def oracle_facial_triangles(arr):
     """A proper triangle is facial iff no other line separates its vertices."""
-    count = 0
+    faces = []
     for i, j, k in combinations(range(arr.n), 3):
         l1, l2, l3 = arr.lines[i], arr.lines[j], arr.lines[k]
         verts = [intersect(l1, l2), intersect(l1, l3), intersect(l2, l3)]
@@ -72,8 +74,12 @@ def oracle_facial_count(arr):
                 facial = False
                 break
         if facial:
-            count += 1
-    return count
+            faces.append((i, j, k))
+    return faces
+
+
+def oracle_facial_count(arr):
+    return len(oracle_facial_triangles(arr))
 
 
 CASES = [
@@ -170,6 +176,16 @@ def test_select_backend_irrational_falls_back_to_exact():
         census(pentagon(), backend="numpy")
 
 
+@pytest.mark.parametrize("backend", ["auto", "exact"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_fewer_than_three_lines(n, backend):
+    arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0)][:n])
+    cen = census(arr, backend=backend)
+    assert (cen.n, cen.total_triples, cen.distinct_count) == (n, 0, 0)
+    assert cen.sorted_items() == [] and cen.min_area is None
+    assert facial_triangles(arr, backend=backend) == []
+
+
 def test_census_rejects_small():
     arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0)])
     cen = census(arr)
@@ -226,3 +242,30 @@ def test_table_builders_agree(arr):
         triples = list(triples_with_area(arr, area, fast))
         assert triples == list(triples_with_area(arr, area, exact))
         assert len(triples) == exact.count(area)
+
+
+@st.composite
+def moved_grids(draw):
+    # parallel families, and concurrent points in trigrid, with the lines
+    # shuffled and translated off the constructions' own order and origin
+    grid = draw(st.sampled_from([hexgrid, trigrid]))
+    lines = draw(st.permutations(grid(draw(st.integers(3, 16))).lines))
+    shift = st.fractions(-5, 5, max_denominator=6)
+    return Arrangement(lines).transform(AffineMap.translation(draw(shift), draw(shift)))
+
+
+_chain_one = cache(lambda: max_chain(1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        near_gate_arrangements(),
+        moved_grids(),
+        st.sampled_from([pentagon, _chain_one]).map(lambda build: build()),
+    )
+)
+def test_facial_triangles_match_oracle(arr):
+    want = oracle_facial_triangles(arr)
+    assert facial_triangles(arr) == want
+    assert facial_triangles(arr, backend="exact") == want

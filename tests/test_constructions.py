@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from triarea.arrangement import PROPER, intersect, triple_area
-from triarea.bounds import hexgrid_facial_formula, trigrid_facial_formula
+from triarea.bounds import hexgrid_facial_formula, kobon_bound, trigrid_facial_formula
 from triarea.census import UNIT_AREA, census, facial_triangle_count, per_line_counts
 from triarea.constructions import (
     hexgrid,
@@ -51,6 +51,14 @@ def test_trigrid_formula_quirk_at_4():
 def test_grid_formulas_midrange(n):
     assert facial_triangle_count(hexgrid(n)) == hexgrid_facial_formula(n)
     assert facial_triangle_count(trigrid(n)) == trigrid_facial_formula(n)
+
+
+@pytest.mark.parametrize("n", [200, 500, 1000])
+def test_grid_formulas_at_scale(n):
+    for grid, formula in ((hexgrid, hexgrid_facial_formula), (trigrid, trigrid_facial_formula)):
+        faces = facial_triangle_count(grid(n))
+        assert faces == formula(n)
+        assert faces <= kobon_bound(n)
 
 
 def test_hexgrid_structure():

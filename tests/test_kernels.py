@@ -1,4 +1,5 @@
-"""Integer kernel tests: backend agreement and the int64 safety gate."""
+"""Integer kernel tests: backend agreement, the crossing order and the int64
+safety gate."""
 
 import os
 import subprocess
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 
 from triarea import _kernels
-from triarea.census import census, integer_coefficients, select_backend
+from triarea.arrangement import Arrangement, Line
+from triarea.census import (
+    _crossing_ranks_exact,
+    census,
+    facial_triangles,
+    integer_coefficients,
+    select_backend,
+)
 from triarea.constructions import hexgrid, random_arrangement
 
 
@@ -31,14 +39,21 @@ def test_census_kernels_agree():
             assert np.array_equal(den_np, den_nb)
 
 
-def test_facial_kernels_agree():
-    for seed in (1, 4):
-        arr = random_arrangement(13, seed=seed)
-        coeffs = _coeffs(arr)
-        f_np = _kernels.facial_int64(coeffs, backend="numpy")
-        if _kernels.HAVE_NUMBA:
-            f_nb = _kernels.facial_int64(coeffs, backend="numba")
-            assert np.array_equal(f_np, f_nb)
+def test_crossing_order_repairs_float_ties():
+    # inside the int64 gate distinct crossings always get distinct float
+    # keys; these coefficients are outside it, so that on y = 0 the crossings
+    # x = 2^53 and x = 2^53 + 1 share a float key and the stable sort leaves
+    # them in index order, which the exact check must repair
+    big = 2**53
+    arr = Arrangement(
+        [Line(0, 1, 0), Line(1, 0, -big), Line(1, 0, -big - 1), Line(1, 1, 0), Line(1, -1, 3)]
+    )
+    coeffs = _coeffs(arr)
+    assert not _kernels.int64_safe(coeffs)
+    ranks = _kernels.crossing_ranks_int64(coeffs)
+    assert np.array_equal(ranks, _crossing_ranks_exact(arr))
+    faces = _kernels.faces_from_ranks(ranks).tolist()
+    assert [tuple(f) for f in faces] == facial_triangles(arr, backend="exact")
 
 
 def test_status_codes_match_exact():
