@@ -62,22 +62,19 @@ def int64_safe(coeffs: np.ndarray) -> bool:
     return 48 * A**4 * C**2 < lim and 16 * A**6 < lim and 6 * A**2 * C < lim
 
 
-def combo_index_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (I, J, K) of all i<j<k triples in lexicographic order."""
-    m = comb(n, 3)
-    I = np.empty(m, dtype=np.int64)
-    J = np.empty(m, dtype=np.int64)
-    K = np.empty(m, dtype=np.int64)
-    pos = 0
-    ks = np.arange(n, dtype=np.int64)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            cnt = n - 1 - j
-            I[pos : pos + cnt] = i
-            J[pos : pos + cnt] = j
-            K[pos : pos + cnt] = ks[j + 1 :]
-            pos += cnt
-    return I, J, K
+def combo_index_arrays(n: int, ranks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (I, J, K) of the i<j<k triples at the given ranks in
+    lexicographic order, or of all C(n,3) triples when ranks is None."""
+    # the triples (i, j, *) of one pair i<j are consecutive, the pairs come
+    # in lexicographic order, and pair (i, j) has n-1-j of them
+    i, j = np.triu_indices(n, k=1)
+    sizes = n - 1 - j
+    start = np.cumsum(sizes) - sizes
+    if ranks is None:
+        K = np.arange(comb(n, 3)) - np.repeat(start - j - 1, sizes)
+        return np.repeat(i, sizes), np.repeat(j, sizes), K
+    pair = np.searchsorted(start, ranks, side="right") - 1
+    return i[pair], j[pair], j[pair] + 1 + ranks - start[pair]
 
 
 def _census_numpy(coeffs: np.ndarray):

@@ -1,22 +1,22 @@
 """Complete triangle-area census of an arrangement.
 
 The census is one table over the C(n,3) triples in lexicographic i<j<k
-order: an int32 area-class id per triple, indexing a list that holds one
-exact area per class.  Two reserved negative ids mark concurrent triples
-and triples with a parallel pair.  Rational arrangements whose canonical
-integer coefficients certify int64-safe intermediates build the table on
-the kernels in _kernels, one ``Fraction`` per distinct area; everything
-else builds it with exact scalar arithmetic.  Counts, the memoised area
-ordering and its extremes, per-line counts, the triples of a given area,
-the bound checks and the colored triple system all read this one table.
+order: an int32 area-class id per triple, and one exact area per class.
+Two reserved negative ids mark concurrent triples and triples with a
+parallel pair.  Rational arrangements whose canonical integer coefficients
+certify int64-safe intermediates build the table on the kernels in
+_kernels and keep each area as a reduced int64 (num, den) pair, building
+a ``Fraction`` only for an area a caller reads; everything else builds it
+with exact scalar arithmetic.  Counts, the memoised area ordering and its
+extremes, per-line counts, the triples of a given area, the bound checks
+and the colored triple system all read this one table.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import combinations
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -32,7 +32,7 @@ from .arrangement import (
     frame_params,
     triple_area,
 )
-from .scalars import Scalar, exact_sign
+from .scalars import Scalar, _peel, exact_sign, format_scalar, is_rational
 
 UNIT_AREA = Fraction(1)
 
@@ -44,18 +44,26 @@ Triple = Tuple[int, int, int]
 
 
 class AreaCensus:
-    """Census table: an area-class id per triple, plus one exact area and
-    one triangle count per class."""
+    """Census table: an area-class id per triple, plus one exact area and one
+    triangle count per class.  The int64 builder keeps the areas as reduced
+    ``num``/``den`` arrays (None on the exact path) and builds ``areas`` when read."""
 
-    def __init__(self, n: int, areas: List[Scalar], class_ids: np.ndarray, backend: str) -> None:
+    def __init__(self, n: int, class_ids: np.ndarray, backend: str, areas: Optional[List[Scalar]] = None,
+                 num: Optional[np.ndarray] = None, den: Optional[np.ndarray] = None) -> None:
         self.n = n
-        self.areas = areas
         self.class_ids = class_ids
         self.backend = backend
-        proper_ids = class_ids[class_ids >= 0]
-        self.class_counts: List[int] = np.bincount(proper_ids, minlength=len(areas)).tolist()
+        self.num, self.den = num, den
+        if areas is not None:
+            self.areas = areas
+        classes = len(num if areas is None else areas)
+        self.class_counts: List[int] = np.bincount(class_ids[class_ids >= 0], minlength=classes).tolist()
         self.concurrent_count = int(np.count_nonzero(class_ids == CONCURRENT_ID))
         self.parallel_count = int(np.count_nonzero(class_ids == PARALLEL_ID))
+
+    @cached_property
+    def areas(self) -> List[Scalar]:
+        return list(map(Fraction, self.num.tolist(), self.den.tolist()))
 
     @cached_property
     def area_counts(self) -> Dict[Scalar, int]:
@@ -71,14 +79,23 @@ class AreaCensus:
 
     @property
     def distinct_count(self) -> int:
-        return len(self.areas)
+        return len(self.class_counts)
 
     @cached_property
     def _class_of(self) -> Dict[Scalar, int]:
         return {area: c for c, area in enumerate(self.areas)}
 
+    def _class_id(self, area: Scalar) -> Optional[int]:
+        if self.num is None:
+            return self._class_of.get(area)
+        x = _peel(area)
+        if not is_rational(x):
+            return None  # a surd is never a rational class
+        hit = np.flatnonzero((self.num == x.numerator) & (self.den == x.denominator))
+        return int(hit[0]) if hit.size else None
+
     def count(self, area: Scalar) -> int:
-        c = self._class_of.get(area)
+        c = self._class_id(area)
         return 0 if c is None else self.class_counts[c]
 
     @property
@@ -87,20 +104,44 @@ class AreaCensus:
 
     @cached_property
     def _order(self) -> np.ndarray:
-        # class ids by increasing area; Fraction and QuadExt compare exactly
-        # with their own `<`
-        order = sorted(range(len(self.areas)), key=self.areas.__getitem__)
-        return np.array(order, dtype=np.int32)
+        # class ids by increasing area
+        if self.num is None:  # Fraction and QuadExt compare exactly with their own `<`
+            return np.array(sorted(range(len(self.areas)), key=self.areas.__getitem__), dtype=np.int64)
+        # Sort by the float64 key num/den and certify each adjacent pair: with
+        # num, den < 2^62 a key is within 3*2^-53 of its ratio, relative, so a
+        # relative gap above 2^-49 proves the order, and closer pairs compare
+        # num_p*den_q < num_q*den_p exactly (distinct reduced ratios never tie).
+        key = self.num / self.den
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        close = np.flatnonzero(key[1:] - key[:-1] <= key[1:] * 2.0**-49)
+        p, q = self.num[order], self.den[order]
+        pairs = zip(*(x.tolist() for x in (p[close], q[close], p[close + 1], q[close + 1])))
+        if any(a * d > c * b for a, b, c, d in pairs):
+            order = order[sorted(range(len(order)), key=lambda t: Fraction(int(p[t]), int(q[t])))]
+        return order
 
     def sorted_items(self) -> List[Tuple[Scalar, int]]:
         """(area, count) pairs in increasing area order; the classes are
         sorted once."""
         return [(self.areas[c], self.class_counts[c]) for c in self._order.tolist()]
 
+    def formatted_items(self) -> List[Tuple[str, int]]:
+        """sorted_items with each area spelled by format_scalar; on the
+        int64 path the same strings come straight from (num, den)."""
+        order = self._order.tolist()
+        if self.num is None:
+            texts = [format_scalar(self.areas[c]) for c in order]
+        else:
+            ratios = zip(self.num[order].tolist(), self.den[order].tolist())
+            texts = [f"{p}/{q}" if q != 1 else f"{p}" for p, q in ratios]
+        return list(zip(texts, [self.class_counts[c] for c in order]))
+
     def _extreme(self, want_max: bool) -> Optional[Scalar]:
-        if not self.areas:
+        if not self.distinct_count:
             return None
-        return self.areas[self._order[-1 if want_max else 0]]
+        c = int(self._order[-1 if want_max else 0])
+        return self.areas[c] if self.num is None else Fraction(int(self.num[c]), int(self.den[c]))
 
     @cached_property
     def min_area(self) -> Optional[Scalar]:
@@ -112,20 +153,18 @@ class AreaCensus:
 
     @property
     def max_area_count(self) -> int:
-        m = self.max_area
-        return 0 if m is None else self.count(m)
+        return self.class_counts[self._order[-1]] if self.distinct_count else 0
 
     @property
     def min_area_count(self) -> int:
-        m = self.min_area
-        return 0 if m is None else self.count(m)
+        return self.class_counts[self._order[0]] if self.distinct_count else 0
 
-    def triples_mask(self, area: Scalar) -> np.ndarray:
-        """Boolean mask over the triples whose triangle has exactly this area."""
-        c = self._class_of.get(area)
-        if c is None:
-            return np.zeros(len(self.class_ids), dtype=bool)
-        return self.class_ids == c
+    def triples(self, area: Scalar) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays (i, j, k) of the triples whose triangle has exactly
+        this area, in lexicographic order."""
+        c = self._class_id(area)
+        ranks = np.flatnonzero(self.class_ids == c) if c is not None else np.zeros(0, np.int64)
+        return _kernels.combo_index_arrays(self.n, ranks)
 
     def __repr__(self) -> str:
         return (
@@ -181,9 +220,9 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
     chosen = select_backend(arr, backend)
     if chosen == "exact":
         areas, class_ids = _classify_exact(arr)
-    else:
-        areas, class_ids = _classify_int64(integer_coefficients(arr), chosen)
-    return AreaCensus(arr.n, areas, class_ids, chosen)
+        return AreaCensus(arr.n, class_ids, chosen, areas=areas)
+    num, den, class_ids = _classify_int64(integer_coefficients(arr), chosen)
+    return AreaCensus(arr.n, class_ids, chosen, num=num, den=den)
 
 
 def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
@@ -198,33 +237,34 @@ def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
     return list(class_of), np.array(ids, dtype=np.int32)
 
 
-def _classify_int64(coeffs: np.ndarray, backend: str) -> Tuple[List[Scalar], np.ndarray]:
+def _classify_int64(coeffs: np.ndarray, backend: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     num, den, status = _kernels.census_int64(coeffs, backend)
     class_ids = np.full(len(status), PARALLEL_ID, dtype=np.int32)
     class_ids[status == _kernels.STATUS_CONCURRENT] = CONCURRENT_ID
     proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
-    pairs = np.stack([num[proper], den[proper]], axis=1)
-    del num, den, status  # free the kernel's C(n,3) arrays before np.unique
-    if proper.size == 0:
-        return [], class_ids
-    uniq, first, inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    num, den = num[proper], den[proper]
+    # group equal (num, den) pairs; the stable sort keeps each group's
+    # triples in triple order, so a group's first entry is its first appearance
+    order = np.lexsort((den, num))
+    num, den = num[order], den[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
     # renumber the classes by first appearance, as the exact builder does
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int32)
-    rank[order] = np.arange(len(order), dtype=np.int32)
-    class_ids[proper] = rank[inverse.reshape(-1)]
-    nums, dens = uniq[order].T.tolist()
-    return [Fraction(nm, dn) for nm, dn in zip(nums, dens)], class_ids
+    by_first = np.argsort(order[new])
+    rank = np.empty(len(by_first), dtype=np.int32)
+    rank[by_first] = np.arange(len(by_first), dtype=np.int32)
+    class_ids[proper[order]] = rank[np.cumsum(new) - 1]
+    return num[new][by_first], den[new][by_first], class_ids
 
 
 def triples_with_area(
     arr: Arrangement, area: Scalar, cen: Optional[AreaCensus] = None
 ) -> Iterator[Triple]:
-    """Index triples whose triangle has exactly the given area, read from
-    ``cen`` (the arrangement's census, built here when not given)."""
+    """Index triples whose triangle has exactly the given area, in order,
+    read from ``cen`` (the arrangement's census, built here when not given)."""
     if cen is None:
         cen = census(arr)
-    return compress(combinations(range(arr.n), 3), cen.triples_mask(area))
+    return zip(*(x.tolist() for x in cen.triples(area)))
 
 
 def per_line_counts(
@@ -234,8 +274,7 @@ def per_line_counts(
     ``cen`` (the arrangement's census, built here when not given)."""
     if cen is None:
         cen = census(arr, backend)
-    counts = Counter(chain.from_iterable(triples_with_area(arr, area, cen)))
-    return [counts[i] for i in range(arr.n)]
+    return np.bincount(np.concatenate(cen.triples(area)), minlength=arr.n).tolist()
 
 
 def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:

@@ -15,24 +15,12 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
-from .arrangement import (
-    Arrangement,
-    ArrangementError,
-    ArrangementParseError,
-    Line,
-)
+from .arrangement import Arrangement, ArrangementError, ArrangementParseError
 from .bounds import trigrid_facial_formula, hexgrid_facial_formula, verify_arrangement
-from .census import (
-    UNIT_AREA,
-    census,
-    facial_triangle_count,
-    per_line_counts,
-    select_backend,
-)
+from .census import UNIT_AREA, census, facial_triangle_count, per_line_counts
 from .chain import ChainError, max_chain
 from .conics import validate_general_position
 from .constructions import (
@@ -150,9 +138,7 @@ def _cmd_census(args) -> int:
         "parallel_triples": cen.parallel_count,
         "distinct_areas": cen.distinct_count,
         "unit_count": cen.unit_count,
-        "areas": [
-            {"area": format_scalar(a), "count": c} for a, c in cen.sorted_items()
-        ],
+        "areas": None,  # written by _census_json
     }
     if cen.proper_count:
         results["min_area"] = format_scalar(cen.min_area)
@@ -165,6 +151,9 @@ def _cmd_census(args) -> int:
         results["per_line_area"] = format_scalar(area)
         results["per_line_counts"] = per_line_counts(arr, area, cen=cen)
     report["results"] = results
+    if args.json:
+        print(_census_json(report, cen.formatted_items()))
+        return EXIT_OK
 
     human = [
         f"n {arr.n}  field {arr.field_name()}  backend {cen.backend}",
@@ -174,18 +163,23 @@ def _cmd_census(args) -> int:
         f"unit-area triangles {cen.unit_count}",
     ]
     if cen.proper_count:
-        human.append(
-            f"min area {format_scalar(cen.min_area)} x{cen.min_area_count}"
-        )
-        human.append(
-            f"max area {format_scalar(cen.max_area)} x{cen.max_area_count}"
-        )
+        human.append(f"min area {results['min_area']} x{cen.min_area_count}")
+        human.append(f"max area {results['max_area']} x{cen.max_area_count}")
     if area is not None:
         human.append(f"per-line counts for area {results['per_line_area']}:")
         for i, c in enumerate(results["per_line_counts"]):
             human.append(f"  line {i}: {c}")
     _emit(report, args.json, human, time.monotonic() - start)
     return EXIT_OK
+
+
+def _census_json(report: dict, items: List[Tuple[str, int]]) -> str:
+    """json.dumps(report, indent=2) with results["areas"] written here: the
+    indenting encoder is slow on long lists, and area strings need no escapes."""
+    report["results"]["areas"] = slot = "\0areas"
+    rows = [f'      {{\n        "area": "{a}",\n        "count": {c}\n      }}' for a, c in items]
+    areas = "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+    return json.dumps(report, indent=2).replace(json.dumps(slot), areas, 1)
 
 
 # -- verify -----------------------------------------------------------------

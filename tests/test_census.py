@@ -1,8 +1,9 @@
 """Census tests against an independent brute-force oracle."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import isqrt
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from triarea.arrangement import AffineMap, Arrangement, Line, intersect
 from triarea.census import (
+    PARALLEL_ID,
     UNIT_AREA,
+    AreaCensus,
     census,
     facial_triangle_count,
     facial_triangles,
@@ -29,7 +32,7 @@ from triarea.constructions import (
     st_extremal,
     trigrid,
 )
-from triarea.scalars import exact_sign
+from triarea.scalars import QuadExt, exact_sign, format_scalar
 
 
 def oracle_census(arr):
@@ -186,6 +189,29 @@ def test_fewer_than_three_lines(n, backend):
     assert facial_triangles(arr, backend=backend) == []
 
 
+# (num, den) pairs whose float64 keys tie (2^53 and 2^53 + 1) or misorder
+# (the smaller ratio gets the larger key)
+FLOAT_KEY_TRAPS = [((2**53, 1), (2**53 + 1, 1)), ((19 * 2**53 + 48, 19), (16 * 2**53 + 43, 16))]
+
+
+@pytest.mark.parametrize("small, large", FLOAT_KEY_TRAPS)
+@pytest.mark.parametrize("flip", [False, True])
+def test_class_order_repairs_float_keys(small, large, flip):
+    first, second = (large, small) if flip else (small, large)
+    cen = AreaCensus(
+        4,
+        np.array([0, 1, PARALLEL_ID, 1], dtype=np.int32),  # class 1 has two triples
+        "numpy",
+        num=np.array([first[0], second[0]], dtype=np.int64),
+        den=np.array([first[1], second[1]], dtype=np.int64),
+    )
+    lo, hi = Fraction(*small), Fraction(*large)
+    assert lo < hi
+    assert (cen.min_area, cen.max_area) == (lo, hi)
+    assert cen.sorted_items() == [(lo, 1 + flip), (hi, 2 - flip)]
+    assert cen.formatted_items() == [(str(lo), 1 + flip), (str(hi), 2 - flip)]
+
+
 def test_census_rejects_small():
     arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0)])
     cen = census(arr)
@@ -227,6 +253,14 @@ def test_table_builders_agree(arr):
     assume(arr.n >= 3)
     fast = census(arr, backend="numpy")
     exact = census(arr, backend="exact")
+    # the int64 table answers these without building its area list
+    extremes = ("min_area", "max_area", "min_area_count", "max_area_count")
+    assert [getattr(fast, name) for name in extremes] == [getattr(exact, name) for name in extremes]
+    absent = (exact.max_area or 0) + 1
+    for area in (1, 2, Fraction(1, 2), absent, QuadExt(exact.min_area or 1, 0, 5), QuadExt(1, 1, 5)):
+        assert fast.count(area) == exact.count(area)
+    assert fast.formatted_items() == exact.formatted_items()
+    assert exact.formatted_items() == [(format_scalar(a), c) for a, c in exact.sorted_items()]
     assert fast.areas == exact.areas
     assert fast.sorted_items() == exact.sorted_items()
     assert fast.class_ids.dtype == exact.class_ids.dtype == np.int32
@@ -235,13 +269,16 @@ def test_table_builders_agree(arr):
         exact.concurrent_count,
         exact.parallel_count,
     )
+    area_of = [exact.areas[c] if c >= 0 else None for c in exact.class_ids.tolist()]
     for area in {fast.min_area, fast.max_area, UNIT_AREA} - {None}:
+        # reference: walk every triple in lexicographic order
+        want = [t for t, a in zip(combinations(range(arr.n), 3), area_of) if a == area]
+        line_uses = Counter(chain.from_iterable(want))
         counts = per_line_counts(arr, area, backend="numpy")
         assert counts == per_line_counts(arr, area, backend="exact")
-        assert sum(counts) == 3 * exact.count(area)
-        triples = list(triples_with_area(arr, area, fast))
-        assert triples == list(triples_with_area(arr, area, exact))
-        assert len(triples) == exact.count(area)
+        assert counts == [line_uses[i] for i in range(arr.n)]
+        assert list(triples_with_area(arr, area, fast)) == want
+        assert list(triples_with_area(arr, area, exact)) == want
 
 
 @st.composite

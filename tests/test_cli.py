@@ -9,15 +9,24 @@ root separation instead.
 
 import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
+from functools import cache
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from triarea import Arrangement
+from triarea import Arrangement, Line
+from triarea.census import AreaCensus, census
+from triarea.chain import max_chain
 from triarea.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, main
+from triarea.scalars import format_scalar
 
 TABLE_HEX = [1, 2, 3, 6, 7, 10, 13, 16, 19, 24]
 TABLE_TRI = [0, 1, 2, 4, 6, 8, 12, 14, 18, 22]
@@ -100,6 +109,75 @@ def test_census_human_mode(pentagon_file, capsys):
     assert code == EXIT_OK
     assert "distinct areas 2" in out
     assert "elapsed" in out
+
+
+def test_census_human_mode_builds_no_area_list(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rand.lines"
+    main(["generate", "random", "-n", "10", "--seed", "4", "-o", str(path)])
+    capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("human mode prints no area list")
+
+    monkeypatch.setattr(AreaCensus, "areas", property(refuse))
+    monkeypatch.setattr(AreaCensus, "sorted_items", refuse)
+    monkeypatch.setattr(AreaCensus, "formatted_items", refuse)
+    code, out, _ = run_cli(capsys, ["census", str(path), "--per-line", "1"])
+    assert code == EXIT_OK
+    assert "min area" in out and "line 9:" in out
+
+
+_chain_lines = cache(lambda: max_chain(1).lines)
+
+
+@st.composite
+def census_arrangements(draw):
+    small = st.integers(-3, 3)
+    shape = draw(st.sampled_from(["grid", "parallel", "concurrent", "single", "tower"]))
+    if shape == "grid":
+        ab = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+        lines = [Line(*draw(ab), draw(small)) for _ in range(9)]
+    elif shape == "parallel":  # every triple has a parallel pair: no areas
+        cs = draw(st.lists(small, min_size=3, max_size=6, unique=True))
+        lines = [Line(1, 2, c) for c in cs] + [Line(0, 1, c) for c in cs[:2]]
+    elif shape == "concurrent":  # every triple meets in the origin: no areas
+        slopes = draw(st.lists(small, min_size=3, max_size=6, unique=True))
+        lines = [Line(m, 1, 0) for m in slopes]
+    elif shape == "single":
+        # x = -a, y = -b and x + y = -c with |a + b| < c never meet in one point
+        lines = [Line(1, 0, draw(small)), Line(0, 1, draw(small)), Line(1, 1, draw(st.integers(7, 12)))]
+    else:  # tower areas: sqrt(...) with nested parentheses
+        picks = draw(st.lists(st.integers(0, 9), min_size=3, max_size=5, unique=True))
+        lines = [_chain_lines()[i] for i in sorted(picks)]
+    return Arrangement(dict.fromkeys(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(census_arrangements(), st.booleans(), st.sampled_from([None, "min_area", "max_area", "1"]))
+def test_census_json_bytes_match_json_dumps(arr, facial, per_line):
+    assume(arr.n >= 3)
+    text = arr.to_text()
+    try:
+        parsed = Arrangement.from_text(text)
+    except ValueError:  # the canonical text of some chain subsets does not parse back
+        assume(False)
+    cen = census(parsed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "arr.lines")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["census", "--json", path] + (["--facial"] if facial else [])
+        if per_line is not None:
+            area = getattr(cen, per_line, None)  # None for "1" and without triangles
+            argv += ["--per-line", "1" if area is None else format_scalar(area)]
+        with redirect_stdout(io.StringIO()) as buf:
+            assert main(argv) == EXIT_OK
+    out = buf.getvalue()
+    report = json.loads(out)
+    assert report["results"]["areas"] == [
+        {"area": format_scalar(a), "count": c} for a, c in cen.sorted_items()
+    ]
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_census_facial_prints_bare_count(capsys, monkeypatch, tmp_path):
