@@ -2,19 +2,18 @@
 
 Rational arrangements in canonical form have integer coefficients; when the
 coefficient magnitudes certify that every intermediate fits in int64 (see
-int64_safe), both run on machine integers.  The census over all C(n,3)
-triples, in lexicographic i<j<k order, has two backends: compiled loops
-(numba, optional; TRIAREA_NO_NUMBA=1 disables it) and vectorized numpy.
-Facial triangles have one algorithm for every backend: sort the crossing
-points along each line (crossing_ranks_int64 here, the exact scalars'
-``<`` in census.py) and keep the triples whose three sides join
+int64_safe), both run on machine integers.  The census is one vectorized
+numpy kernel over all C(n,3) triples in lexicographic i<j<k order;
+combo_index_arrays and combo_rank map between a rank in that order and
+its triple.  Facial triangles have one algorithm for every backend: sort
+the crossing points along each line (crossing_ranks_int64 here, the exact
+scalars' ``<`` in census.py) and keep the triples whose three sides join
 consecutive crossings (faces_from_ranks), O(n^2 log n) in all.  Exact
 arithmetic in census.py remains the fallback and the ground truth.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import comb
 
@@ -26,19 +25,6 @@ STATUS_PARALLEL = 2
 
 # crossing rank of a parallel pair and of a line with itself
 NO_CROSSING = -2
-
-_DISABLED = os.environ.get("TRIAREA_NO_NUMBA", "") not in ("", "0")
-
-if not _DISABLED:
-    try:
-        import numba
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
 
 
 def int64_safe(coeffs: np.ndarray) -> bool:
@@ -77,7 +63,24 @@ def combo_index_arrays(n: int, ranks: np.ndarray | None = None) -> tuple[np.ndar
     return i[pair], j[pair], j[pair] + 1 + ranks - start[pair]
 
 
-def _census_numpy(coeffs: np.ndarray):
+def combo_rank(n: int, i, j, k) -> np.ndarray:
+    """Lexicographic rank of each triple {i, j, k} among the C(n,3) triples
+    i<j<k, the inverse of combo_index_arrays; the three columns may come in
+    any order."""
+    i, j, k = np.sort(np.stack(np.broadcast_arrays(i, j, k)).astype(np.int64), axis=0)
+
+    def c2(m):
+        return m * (m - 1) // 2
+
+    def c3(m):
+        return m * (m - 1) * (m - 2) // 6
+
+    # triples led by a line before i, then those led by (i, j') with i<j'<j
+    return c3(n) - c3(n - i) + c2(n - i - 1) - c2(n - j) + (k - j - 1)
+
+
+def census_int64(coeffs: np.ndarray):
+    """Reduced (num, den) and status per triple, in lexicographic order."""
     a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
     I, J, K = combo_index_arrays(len(coeffs))
 
@@ -109,68 +112,6 @@ def _census_numpy(coeffs: np.ndarray):
     g = np.gcd(num, den)
     g[g == 0] = 1
     return num // g, den // g, status
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _census_numba(coeffs):  # pragma: no cover - exercised via dispatch
-        n = coeffs.shape[0]
-        m = n * (n - 1) * (n - 2) // 6
-        num = np.zeros(m, dtype=np.int64)
-        den = np.ones(m, dtype=np.int64)
-        status = np.zeros(m, dtype=np.uint8)
-        pos = 0
-        for i in range(n):
-            ai, bi, ci = coeffs[i, 0], coeffs[i, 1], coeffs[i, 2]
-            for j in range(i + 1, n):
-                aj, bj, cj = coeffs[j, 0], coeffs[j, 1], coeffs[j, 2]
-                x1 = bi * cj - bj * ci
-                y1 = ci * aj - cj * ai
-                w1 = ai * bj - aj * bi
-                for k in range(j + 1, n):
-                    ak, bk, ck = coeffs[k, 0], coeffs[k, 1], coeffs[k, 2]
-                    x2 = bi * ck - bk * ci
-                    y2 = ci * ak - ck * ai
-                    w2 = ai * bk - ak * bi
-                    x3 = bj * ck - bk * cj
-                    y3 = cj * ak - ck * aj
-                    w3 = aj * bk - ak * bj
-                    if w1 == 0 or w2 == 0 or w3 == 0:
-                        status[pos] = STATUS_PARALLEL
-                        pos += 1
-                        continue
-                    det = (
-                        x1 * (y2 * w3 - w2 * y3)
-                        - y1 * (x2 * w3 - w2 * x3)
-                        + w1 * (x2 * y3 - y2 * x3)
-                    )
-                    if det == 0:
-                        status[pos] = STATUS_CONCURRENT
-                        pos += 1
-                        continue
-                    nm = det if det > 0 else -det
-                    dn = 2 * w1 * w2 * w3
-                    if dn < 0:
-                        dn = -dn
-                    u, v = nm, dn
-                    while v:
-                        u, v = v, u % v
-                    num[pos] = nm // u
-                    den[pos] = dn // u
-                    pos += 1
-        return num, den, status
-
-
-def census_int64(coeffs: np.ndarray, backend: str):
-    """Reduced (num, den) and status per triple; backend 'numba' or 'numpy'."""
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend unavailable")
-        return _census_numba(coeffs)
-    return _census_numpy(coeffs)
-
-
 
 
 def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:

@@ -193,22 +193,17 @@ def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
 
 
 def select_backend(arr: Arrangement, backend: str = "auto") -> str:
-    """Resolve 'auto' to the fastest applicable backend for this input."""
+    """Resolve 'auto' to 'numpy' when the input passes the int64 gate, else
+    to 'exact'."""
     if backend == "exact":
         return "exact"
+    if backend not in ("auto", "numpy"):
+        raise ValueError(f"unknown backend {backend!r}")
     coeffs = integer_coefficients(arr)
     eligible = coeffs is not None and _kernels.int64_safe(coeffs)
-    if backend in ("numba", "numpy"):
-        if not eligible:
-            raise ValueError(f"backend {backend!r} needs int64-safe integer input")
-        if backend == "numba" and not _kernels.HAVE_NUMBA:
-            raise ValueError("numba backend unavailable")
-        return backend
-    if backend != "auto":
-        raise ValueError(f"unknown backend {backend!r}")
-    if not eligible:
-        return "exact"
-    return "numba" if _kernels.HAVE_NUMBA else "numpy"
+    if backend == "numpy" and not eligible:
+        raise ValueError("backend 'numpy' needs int64-safe integer input")
+    return "numpy" if eligible else "exact"
 
 
 def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
@@ -221,7 +216,7 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
     if chosen == "exact":
         areas, class_ids = _classify_exact(arr)
         return AreaCensus(arr.n, class_ids, chosen, areas=areas)
-    num, den, class_ids = _classify_int64(integer_coefficients(arr), chosen)
+    num, den, class_ids = _classify_int64(integer_coefficients(arr))
     return AreaCensus(arr.n, class_ids, chosen, num=num, den=den)
 
 
@@ -237,8 +232,8 @@ def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
     return list(class_of), np.array(ids, dtype=np.int32)
 
 
-def _classify_int64(coeffs: np.ndarray, backend: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    num, den, status = _kernels.census_int64(coeffs, backend)
+def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    num, den, status = _kernels.census_int64(coeffs)
     class_ids = np.full(len(status), PARALLEL_ID, dtype=np.int32)
     class_ids[status == _kernels.STATUS_CONCURRENT] = CONCURRENT_ID
     proper = np.flatnonzero(status == _kernels.STATUS_PROPER)

@@ -445,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cen.add_argument(
         "--backend",
-        choices=["auto", "exact", "numpy", "numba"],
+        choices=["auto", "exact", "numpy"],
         default="auto",
     )
     cen.add_argument("--json", action="store_true")

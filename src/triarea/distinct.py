@@ -1,24 +1,26 @@
 """Rainbow extraction: subsets of lines whose triangle areas are pairwise
 distinct.
 
-Triples are colored by exact area; concurrent or parallel triples get a
-reserved color that conflicts with everything, so extractors can never
-smuggle a degenerate triple into a "distinct" answer.  Every strategy
-validates its output exhaustively before returning it.
+The colored triple system is a view of the arrangement's census: the color
+of a triple is its area class id, read at the triple's lexicographic rank.
+Concurrent and parallel triples have negative ids, a reserved color that
+conflicts with everything, so extractors can never smuggle a degenerate
+triple into a "distinct" answer.  Every strategy validates its output
+exhaustively before returning it.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ._kernels import combo_index_arrays, combo_rank
 from .arrangement import Arrangement, Line
-from .census import census
+from .census import AreaCensus, census
 
 DEGENERATE = "degenerate"
-
-Triple = Tuple[int, int, int]
 
 
 def dedupe_slopes(arr: Arrangement) -> Arrangement:
@@ -34,51 +36,59 @@ def dedupe_slopes(arr: Arrangement) -> Arrangement:
 
 
 class ColoredTripleSystem:
-    """Complete 3-uniform hypergraph on line indices, edge-colored by exact
-    triangle area (or the reserved degenerate color)."""
+    """Complete 3-uniform hypergraph on line indices, edge-colored by area
+    class: a view of the census ``cen``, which holds one class id per triple."""
 
-    def __init__(self, n: int, colors: Dict[Triple, Hashable]) -> None:
-        self.n = n
-        self.colors = colors
+    def __init__(self, cen: AreaCensus) -> None:
+        self.cen = cen
+        self.n = cen.n
 
     @classmethod
     def from_arrangement(cls, arr: Arrangement, backend: str = "auto") -> "ColoredTripleSystem":
-        """Colors read from the census table: every triple of one area
-        class shares that class's exact area object."""
-        cen = census(arr, backend)
-        # proper class ids index the areas; the two negative degenerate ids
-        # index DEGENERATE from the end of the palette
-        palette = cen.areas + [DEGENERATE, DEGENERATE]
-        colors = map(palette.__getitem__, cen.class_ids)
-        return cls(arr.n, dict(zip(combinations(range(arr.n), 3), colors)))
+        return cls(census(arr, backend))
+
+    def _ids(self, i, j, k) -> np.ndarray:
+        """Class ids of the triples {i, j, k}, columns in any order."""
+        return self.cen.class_ids[combo_rank(self.n, i, j, k)]
+
+    def _subset_ids(self, subset: Sequence[int]) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+        """Class ids of the triples inside a set of lines, in lexicographic
+        order, and the positions in the sorted set of each triple's lines."""
+        lines = np.unique(np.asarray(subset, dtype=np.int64))
+        if lines.size and (lines[0] < 0 or lines[-1] >= self.n):
+            raise ValueError(f"line index out of range 0..{self.n - 1}")
+        pos = combo_index_arrays(len(lines))
+        return self._ids(*(lines[p] for p in pos)), pos
 
     def color(self, i: int, j: int, k: int) -> Hashable:
-        return self.colors[tuple(sorted((i, j, k)))]
+        """The exact area of triangle {i, j, k}, or DEGENERATE."""
+        if len({i, j, k}) < 3 or min(i, j, k) < 0 or max(i, j, k) >= self.n:
+            raise ValueError(f"({i}, {j}, {k}) are not three distinct lines of {self.n}")
+        c = int(self._ids(i, j, k))
+        return DEGENERATE if c < 0 else self.cen.areas[c]
 
     def pair_color_violations(self, cap: int = 21) -> List[Tuple[int, int, Hashable, int]]:
-        """Pairs contained in at least ``cap`` same-colored proper triples."""
-        counts: Dict[Tuple[int, int, Hashable], int] = {}
-        for (i, j, k), col in self.colors.items():
-            if col == DEGENERATE:
-                continue
-            for pair in ((i, j), (i, k), (j, k)):
-                key = (*pair, col)
-                counts[key] = counts.get(key, 0) + 1
-        return [
-            (i, j, col, c) for (i, j, col), c in counts.items() if c >= cap
-        ]
+        """Pairs contained in at least ``cap`` same-colored proper triples,
+        as (i, j, area, count) ordered by pair, then by area class."""
+        I, J, K = combo_index_arrays(self.n)
+        ids = self.cen.class_ids
+        keep = ids >= 0
+        m = self.cen.distinct_count
+        # one key per (pair, class) incidence of a proper triple
+        keys = np.concatenate([(p * self.n + q)[keep] * m + ids[keep] for p, q in ((I, J), (I, K), (J, K))])
+        keys, counts = np.unique(keys, return_counts=True)
+        hits = counts >= cap
+        pair, col = np.divmod(keys[hits], m)
+        i, j = np.divmod(pair, self.n)
+        rows = zip(*(x.tolist() for x in (i, j, col, counts[hits])))
+        return [(a, b, self.cen.areas[c], t) for a, b, c, t in rows]
 
 
 def is_rainbow(sys: ColoredTripleSystem, subset: Sequence[int]) -> bool:
-    """Exhaustive check: all triple colors inside the subset distinct and
-    none degenerate."""
-    seen = set()
-    for i, j, k in combinations(sorted(subset), 3):
-        col = sys.color(i, j, k)
-        if col == DEGENERATE or col in seen:
-            return False
-        seen.add(col)
-    return True
+    """Exhaustive check: the triples inside the subset have distinct
+    colors, none of them degenerate."""
+    ids, _ = sys._subset_ids(subset)
+    return bool((ids >= 0).all()) and len(np.unique(ids)) == len(ids)
 
 
 def extract_rainbow(
@@ -102,15 +112,8 @@ def extract_rainbow(
     best: Optional[List[int]] = None
     for t in range(max(trials, 1)):
         rng = random.Random(seed * 1_000_003 + t)
-        if strategy == "greedy":
-            cand = _greedy(sys, rng)
-        else:
-            cand = _sample_delete(sys, rng)
-        if (
-            best is None
-            or len(cand) > len(best)
-            or (len(cand) == len(best) and cand < best)
-        ):
+        cand = (_greedy if strategy == "greedy" else _sample_delete)(sys, rng)
+        if best is None or (-len(cand), cand) < (-len(best), best):
             best = cand
     assert best is not None and is_rainbow(sys, best)
     return best
@@ -120,19 +123,17 @@ def _greedy(sys: ColoredTripleSystem, rng: random.Random) -> List[int]:
     order = list(range(sys.n))
     rng.shuffle(order)
     chosen: List[int] = []
-    used: set = set()
+    pi = pj = np.zeros(0, dtype=np.int64)  # the pairs of chosen lines
+    used = np.zeros(sys.cen.distinct_count, dtype=bool)
     for v in order:
-        fresh: set = set()
-        ok = True
-        for i, j in combinations(chosen, 2):
-            col = sys.color(i, j, v)
-            if col == DEGENERATE or col in used or col in fresh:
-                ok = False
-                break
-            fresh.add(col)
-        if ok:
-            chosen.append(v)
-            used.update(fresh)
+        ids = sys._ids(pi, pj, v)
+        # a degenerate id, a color already used, or two new triples alike
+        if (ids < 0).any() or used[ids].any() or len(np.unique(ids)) < len(ids):
+            continue
+        used[ids] = True
+        pi = np.concatenate([pi, np.asarray(chosen, dtype=np.int64)])
+        pj = np.concatenate([pj, np.full(len(chosen), v, dtype=np.int64)])
+        chosen.append(v)
     return sorted(chosen)
 
 
@@ -140,19 +141,14 @@ def _sample_delete(sys: ColoredTripleSystem, rng: random.Random) -> List[int]:
     p = sys.n ** (-0.8)
     current = [v for v in range(sys.n) if rng.random() < p]
     while True:
-        offenders: Dict[int, int] = {}
-        by_color: Dict[Hashable, int] = {}
-        for i, j, k in combinations(sorted(current), 3):
-            col = sys.color(i, j, k)
-            bad = col == DEGENERATE or col in by_color
-            if col != DEGENERATE:
-                by_color[col] = by_color.get(col, 0) + 1
-            if bad:
-                for v in (i, j, k):
-                    offenders[v] = offenders.get(v, 0) + 1
-        if not offenders:
+        ids, pos = sys._subset_ids(current)
+        # a triple is bad if degenerate or not the first of its color
+        bad = np.ones(len(ids), dtype=bool)
+        bad[np.unique(ids, return_index=True)[1]] = False
+        bad |= ids < 0
+        offenders = np.bincount(np.concatenate([col[bad] for col in pos]), minlength=len(current))
+        if not offenders.any():
             break
         # drop the heaviest offender; break ties toward the largest index
-        drop = max(offenders, key=lambda v: (offenders[v], v))
-        current.remove(drop)
-    return sorted(current)
+        current.pop(len(current) - 1 - int(np.argmax(offenders[::-1])))
+    return current

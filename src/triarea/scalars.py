@@ -588,6 +588,8 @@ class _Parser:
     }
 
     def _apply(self, op: str, v: Scalar, w: Scalar) -> Scalar:
+        if op == "/" and w == 0:
+            self.fail("division by zero")
         # operands from sibling extensions (a collapsed tower's printed
         # form) need a joint field before the arithmetic goes through
         try:

@@ -340,6 +340,22 @@ def test_exit_parse_paths(tmp_path, capsys, monkeypatch):
     assert code == EXIT_PARSE
 
 
+def test_zero_denominator_is_a_parse_error(tmp_path, pentagon_file, capsys):
+    code, _, err = run_cli(capsys, ["census", "--per-line", "1/0", pentagon_file])
+    assert code == EXIT_PARSE and "division by zero" in err
+    zero = tmp_path / "zero.lines"
+    zero.write_text("1 0 0\n0 1 1/(1-1)\n1 1 3\n")
+    code, _, err = run_cli(capsys, ["census", str(zero)])
+    assert code == EXIT_PARSE and "division by zero" in err
+
+
+def test_numba_backend_choice_is_gone(pentagon_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--backend", "numba", pentagon_file])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_seed_required_with_json(pentagon_file, capsys):
     code, _, err = run_cli(capsys, ["extract-distinct", pentagon_file, "--json"])
     assert code == EXIT_PARSE and "--seed" in err

@@ -3,7 +3,10 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triarea import (
     Arrangement,
@@ -17,7 +20,10 @@ from triarea import (
     random_arrangement,
     trigrid,
 )
-from triarea.distinct import DEGENERATE
+from triarea._kernels import combo_index_arrays
+from triarea.arrangement import PROPER, triple_area
+from triarea.census import AreaCensus, census
+from triarea.distinct import DEGENERATE, _sample_delete
 
 
 def oracle_max_rainbow(sys):
@@ -66,17 +72,22 @@ def test_greedy_reaches_optimum_on_generic_lines():
         assert got == list(range(arr.n))
 
 
-def test_degenerate_triples_blocked():
-    # three concurrent lines: the triple through the common point can
-    # never appear inside a returned subset
-    lines = [
+# three concurrent lines (0, 1, 2) among five
+CONCURRENT_FIVE = Arrangement(
+    [
         Line(1, 0, 0),
         Line(0, 1, 0),
         Line(1, 1, 0),
         Line(1, 2, -7),
         Line(3, -1, -5),
     ]
-    sys = ColoredTripleSystem.from_arrangement(Arrangement(lines))
+)
+
+
+def test_degenerate_triples_blocked():
+    # the triple through the common point can never appear inside a
+    # returned subset
+    sys = ColoredTripleSystem.from_arrangement(CONCURRENT_FIVE)
     assert sys.color(0, 1, 2) == DEGENERATE
     for strategy in ("greedy", "sample_delete"):
         got = extract_rainbow(sys, strategy=strategy, seed=2)
@@ -97,34 +108,57 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         extract_rainbow(sys, strategy="anneal")
     with pytest.raises(ValueError):
-        extract_rainbow(ColoredTripleSystem(0, {}))
+        extract_rainbow(ColoredTripleSystem(census(Arrangement([]))))
 
 
 def test_color_access_is_order_free():
     sys = ColoredTripleSystem.from_arrangement(hexgrid(6))
     assert sys.color(4, 1, 3) == sys.color(1, 3, 4)
+    for bad in [(1, 1, 3), (-1, 2, 3), (0, 1, sys.n)]:
+        with pytest.raises(ValueError):
+            sys.color(*bad)
+    with pytest.raises(ValueError):
+        is_rainbow(sys, [0, 1, sys.n])
 
 
 def test_backend_agreement():
     arr = hexgrid(7)
     exact = ColoredTripleSystem.from_arrangement(arr, backend="exact")
     fast = ColoredTripleSystem.from_arrangement(arr, backend="numpy")
-    assert exact.colors == fast.colors
+    assert np.array_equal(exact.cen.class_ids, fast.cen.class_ids)
+    for t in combinations(range(arr.n), 3):
+        assert exact.color(*t) == fast.color(*t)
 
 
 def test_pair_color_violations_cap():
-    # pair (0,1) sits in 22 triples of one color
+    # pair (0,1) sits in 22 triples of one color; every other triple has
+    # a color of its own
     n = 24
-    colors = {}
-    for i, j, k in combinations(range(n), 3):
-        colors[(i, j, k)] = Fraction(1) if (i, j) == (0, 1) else (i, j, k)
-    sys = ColoredTripleSystem(n, colors)
+    I, J, _ = combo_index_arrays(n)
+    hot = (I == 0) & (J == 1)
+    ids = np.zeros(len(I), dtype=np.int32)
+    ids[~hot] = 1 + np.arange(np.count_nonzero(~hot))
+    areas = [Fraction(c + 1) for c in range(1 + np.count_nonzero(~hot))]
+    sys = ColoredTripleSystem(AreaCensus(n, ids, "exact", areas=areas))
     hits = sys.pair_color_violations(cap=21)
     assert (0, 1, Fraction(1), 22) in hits
     assert sys.pair_color_violations(cap=23) == []
+    assert len(sys.pair_color_violations(cap=1)) == 3 * len(I) - 21
+    # a loop over every triple's color gives the same pairs on a grid
+    grid = ColoredTripleSystem.from_arrangement(hexgrid(9))
+    loop = {}
+    for t in combinations(range(grid.n), 3):
+        col = grid.color(*t)
+        for i, j in combinations(t, 2):
+            if col != DEGENERATE:
+                loop[i, j, col] = loop.get((i, j, col), 0) + 1
+    for cap in (1, 2, 3):
+        want = sorted((i, j, str(col), c) for (i, j, col), c in loop.items() if c >= cap)
+        got = sorted((i, j, str(col), c) for i, j, col, c in grid.pair_color_violations(cap))
+        assert got == want
     # degenerate triples never count toward the cap
-    colors = {t: DEGENERATE for t in combinations(range(n), 3)}
-    assert ColoredTripleSystem(n, colors).pair_color_violations(cap=1) == []
+    dead = np.full(len(I), -1, dtype=np.int32)
+    assert ColoredTripleSystem(AreaCensus(n, dead, "exact", areas=[])).pair_color_violations(cap=1) == []
 
 
 def test_dedupe_slopes():
@@ -134,3 +168,109 @@ def test_dedupe_slopes():
     assert len({line.direction() for line in slim.lines}) == 3
     # first representative of each class is kept
     assert slim.lines[0] == arr.lines[0]
+
+
+# extract_rainbow results recorded before the colored triple system read
+# the census table directly; the strategies must draw the same random
+# numbers and reach the same subsets
+PINNED_CASES = {
+    "pentagon": pentagon(),
+    "hexgrid9": hexgrid(9),
+    "trigrid10": trigrid(10),
+    "random12": random_arrangement(12, seed=3),
+    "random20": random_arrangement(20, seed=7),
+    "random12c": random_arrangement(12, seed=3, coeff_bound=2, offset_bound=3),
+    "random20c": random_arrangement(20, seed=7, coeff_bound=2, offset_bound=3),
+    "concurrent": CONCURRENT_FIVE,
+}
+ALL12, ALL20 = list(range(12)), list(range(20))
+PINNED = [
+    ("pentagon", "greedy", 0, 1, [0, 1, 2]),
+    ("pentagon", "greedy", 1, 3, [0, 1, 3]),
+    ("pentagon", "sample_delete", 1, 3, [1, 2, 3]),
+    ("pentagon", "sample_delete", 5, 8, [0, 2]),
+    ("hexgrid9", "greedy", 0, 1, [3, 5, 7]),
+    ("hexgrid9", "greedy", 5, 8, [0, 4, 8]),
+    ("hexgrid9", "greedy", 42, 2, [0, 3]),
+    ("hexgrid9", "sample_delete", 0, 1, []),
+    ("hexgrid9", "sample_delete", 5, 8, [3, 7, 8]),
+    ("trigrid10", "greedy", 5, 8, [1, 5, 6]),
+    ("trigrid10", "sample_delete", 7, 40, [1, 3, 8]),
+    ("random12", "greedy", 1, 3, ALL12),
+    ("random12", "sample_delete", 5, 8, [0, 5, 11]),
+    ("random20", "greedy", 42, 2, ALL20),
+    ("random20", "sample_delete", 5, 8, [3, 8, 11, 15]),
+    ("random20", "sample_delete", 42, 2, [6, 7, 18, 19]),
+    ("random12c", "greedy", 0, 1, [1, 2, 3, 8, 9]),
+    ("random12c", "greedy", 1, 3, [0, 3, 5, 6, 7, 11]),
+    ("random12c", "greedy", 5, 8, [0, 1, 5, 6, 10]),
+    ("random12c", "sample_delete", 7, 40, [0, 3, 9]),
+    ("random20c", "greedy", 0, 1, [3, 10, 14, 16, 18]),
+    ("random20c", "greedy", 5, 8, [5, 6, 7, 11, 13, 15, 16]),
+    ("random20c", "greedy", 42, 2, [3, 4, 5, 12, 15, 17]),
+    ("random20c", "sample_delete", 5, 8, [3, 11, 15]),
+    ("random20c", "sample_delete", 7, 40, [1, 6, 9, 13]),
+    ("concurrent", "greedy", 0, 1, [1, 2, 3, 4]),
+    ("concurrent", "greedy", 1, 3, [0, 1, 3, 4]),
+    ("concurrent", "sample_delete", 1, 3, [1, 2, 3]),
+    ("concurrent", "sample_delete", 5, 8, [0, 2]),
+]
+
+
+@pytest.mark.parametrize("case, strategy, seed, trials, expected", PINNED)
+def test_extract_rainbow_pinned(case, strategy, seed, trials, expected):
+    sys = ColoredTripleSystem.from_arrangement(PINNED_CASES[case])
+    assert extract_rainbow(sys, strategy=strategy, seed=seed, trials=trials) == expected
+
+
+class _AllIn:
+    """An rng that puts every line into the sample, so the deletion loop
+    starts from the whole arrangement."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("pentagon", [0, 1, 2]),
+        ("hexgrid9", [0, 1, 2]),
+        ("trigrid10", [0, 1, 2]),
+        ("random12c", [0, 1, 2, 3, 7]),
+        ("random20c", [0, 1, 2, 4, 15]),
+        ("concurrent", [0, 1, 3, 4]),
+    ],
+)
+def test_sample_delete_from_every_line_pinned(case, expected):
+    sys = ColoredTripleSystem.from_arrangement(PINNED_CASES[case])
+    assert _sample_delete(sys, _AllIn()) == expected
+
+
+def _rainbow_oracle(arr, subset):
+    seen = set()
+    for t in combinations(sorted(subset), 3):
+        area, status = triple_area(*(arr.lines[v] for v in t))
+        if status != PROPER or area in seen:
+            return False
+        seen.add(area)
+    return True
+
+
+ORACLE_CASES = [
+    Arrangement([]),
+    Arrangement([Line(1, 0, 0)]),
+    Arrangement([Line(1, 0, 0), Line(0, 1, 0)]),
+    CONCURRENT_FIVE,
+    hexgrid(7),
+    random_arrangement(9, seed=4, coeff_bound=2, offset_bound=3),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_rainbow_matches_triple_area_oracle(data):
+    arr = data.draw(st.sampled_from(ORACLE_CASES))
+    subset = data.draw(st.lists(st.integers(0, max(arr.n - 1, 0)), max_size=arr.n, unique=True))
+    sys = ColoredTripleSystem.from_arrangement(arr)
+    assert is_rainbow(sys, subset) == _rainbow_oracle(arr, subset)

@@ -248,6 +248,11 @@ class TestParseFormat:
             with pytest.raises(ScalarSyntaxError):
                 parse_scalar(bad)
 
+    def test_division_by_zero_is_a_syntax_error(self):
+        for bad in ["1/0", "0/0", "1/(1-1)", "sqrt(2)/(sqrt(3)-sqrt(3))"]:
+            with pytest.raises(ScalarSyntaxError, match="division by zero"):
+                parse_scalar(bad)
+
     @given(quadext_values())
     def test_round_trip(self, x):
         assert parse_scalar(format_scalar(x)) == x
