@@ -3,7 +3,9 @@
 Rational arrangements in canonical form have integer coefficients; when the
 coefficient magnitudes certify that every intermediate fits in int64 (see
 int64_safe), both run on machine integers.  The census is one vectorized
-numpy kernel over all C(n,3) triples in lexicographic i<j<k order;
+numpy kernel over all C(n,3) triples in lexicographic i<j<k order, with
+the same formula as the exact path: area D^2 / (2*|w12*w13*w23|), D the
+coefficient determinant and w the pair weights from one n x n table;
 combo_index_arrays and combo_rank map between a rank in that order and
 its triple.  Facial triangles have one algorithm for every backend: sort
 the crossing points along each line (crossing_ranks_int64 here, the exact
@@ -31,13 +33,14 @@ def int64_safe(coeffs: np.ndarray) -> bool:
     """True when every census and crossing-order intermediate provably fits
     in int64.
 
-    With A = max(|a|,|b|) and C = max(|c|, A): vertex entries are at most
-    2*A*C (coordinates) and 2*A*A (weight), the 3x3 determinant at most
-    48*A^4*C^2 and the denominator 16*A^6.  The crossing order along a line
+    With A = max(|a|,|b|) and C = max(|c|, A): pair weights w are at most
+    2*A^2, the coefficient determinant |D| = |c1*w23 - c2*w13 + c3*w12| at
+    most 6*A^2*C, its square at most 36*A^4*C^2 and the denominator
+    2*|w12*w13*w23| at most 16*A^6.  The crossing order along a line
     compares N_p*W_q with N_q*W_p, where N = a*Y - b*X is at most 4*A^2*C
     and W at most 2*A^2: each product is at most 8*A^4*C and their
-    difference 16*A^4*C, which the determinant bound covers since C >= 1
-    whenever A >= 1.
+    difference 16*A^4*C.  The gate tests 48*A^4*C^2, which covers D^2 and,
+    since C >= 1 whenever A >= 1, the crossing order.
     """
     a = np.abs(coeffs[:, 0]).max(initial=0)
     b = np.abs(coeffs[:, 1]).max(initial=0)
@@ -80,31 +83,20 @@ def combo_rank(n: int, i, j, k) -> np.ndarray:
 
 
 def census_int64(coeffs: np.ndarray):
-    """Reduced (num, den) and status per triple, in lexicographic order."""
+    """Reduced (num, den) and status per triple, in lexicographic order: the
+    area D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights, with the
+    pair weights read from one n x n table."""
     a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
     I, J, K = combo_index_arrays(len(coeffs))
-
-    def vert(p, q):
-        return (
-            b[p] * c[q] - b[q] * c[p],
-            c[p] * a[q] - c[q] * a[p],
-            a[p] * b[q] - a[q] * b[p],
-        )
-
-    x1, y1, w1 = vert(I, J)
-    x2, y2, w2 = vert(I, K)
-    x3, y3, w3 = vert(J, K)
-    det = (
-        x1 * (y2 * w3 - w2 * y3)
-        - y1 * (x2 * w3 - w2 * x3)
-        + w1 * (x2 * y3 - y2 * x3)
-    )
-    num = np.abs(det)
-    den = 2 * np.abs(w1 * w2 * w3)
+    weights = np.outer(a, b) - np.outer(b, a)  # w[p, q] = a_p*b_q - a_q*b_p
+    w12, w13, w23 = weights[I, J], weights[I, K], weights[J, K]
+    d = c[I] * w23 - c[J] * w13 + c[K] * w12
+    num = d * d
+    den = 2 * np.abs(w12 * w13 * w23)
     status = np.full(len(I), STATUS_PROPER, dtype=np.uint8)
-    par = (w1 == 0) | (w2 == 0) | (w3 == 0)
+    par = (w12 == 0) | (w13 == 0) | (w23 == 0)
     status[par] = STATUS_PARALLEL
-    conc = (~par) & (det == 0)
+    conc = (~par) & (d == 0)
     status[conc] = STATUS_CONCURRENT
     bad = par | conc
     num[bad] = 0

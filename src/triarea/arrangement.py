@@ -6,8 +6,9 @@ content 1, and the first nonzero coefficient positive.  Two Line objects
 are equal exactly when they describe the same line, so arrangements can
 rely on hashing.
 
-Triangle areas are computed by two independent routes: the shoelace formula
-on exact vertices (primary) and the reference-frame formula
+Triangle areas are computed by two independent routes: the coefficient
+determinant ``D^2 / (2*|w12*w13*w23|)`` (primary; D = det[a b c] and w the
+pair weights a_p*b_q - a_q*b_p) and the reference-frame formula
 ``scale * (x_j - x_i)^2 / (2*|y_i - y_j|)`` (cross-check), where the frame
 parameters of a line are its crossing coordinate along the reference line
 and the cotangent of the directed crossing angle.
@@ -25,6 +26,7 @@ from .scalars import (
     Scalar,
     ScalarSyntaxError,
     _one_like,
+    _peel,
     _same_scalar,
     _zero_like,
     exact_sign,
@@ -154,29 +156,47 @@ def _homogeneous_vertex(l1: Line, l2: Line) -> Tuple[Scalar, Scalar, Scalar]:
     )
 
 
+def pair_weight(l1: Line, l2: Line) -> Scalar:
+    """w = a1*b2 - a2*b1, the homogeneous weight of the crossing of l1 and
+    l2; zero exactly for parallel lines.  Zero tower layers are peeled off
+    a and b first, so the weight lives in the smallest field that holds it."""
+    a1, b1, a2, b2 = _peel(l1.a), _peel(l1.b), _peel(l2.a), _peel(l2.b)
+    return a1 * b2 - a2 * b1
+
+
+def coefficient_determinant(c1, c2, c3, w12, w13, w23) -> Scalar:
+    """D = det[a b c] of three lines, expanded along c: c1*w23 - c2*w13 + c3*w12.
+
+    The matrix of the three homogeneous vertices has determinant D^2, so
+    twice the signed area of the triangle is D^2 / (w12*w13*w23)."""
+    return c1 * w23 - c2 * w13 + c3 * w12
+
+
+def area_from_weights(c1, c2, c3, w12, w13, w23) -> Tuple[Optional[Scalar], str]:
+    """Triangle area D^2 / (2*|w12*w13*w23|) of lines with offsets c1, c2, c3
+    and pair weights w (see pair_weight), plus the status; the area is None
+    unless the status is PROPER."""
+    s = exact_sign(w12) * exact_sign(w13) * exact_sign(w23)
+    if s == 0:
+        return None, HAS_PARALLEL_PAIR
+    d = coefficient_determinant(c1, c2, c3, w12, w13, w23)
+    if not d:
+        return None, CONCURRENT
+    den = w12 * w13 * w23 * 2
+    return d * d / (den if s > 0 else -den), PROPER
+
+
 def triple_area(l1: Line, l2: Line, l3: Line) -> Tuple[Scalar, str]:
     """Triangle area of three lines plus a degeneracy status.
 
     Returns ``(area, status)`` with status one of PROPER, CONCURRENT,
     HAS_PARALLEL_PAIR; the area is zero unless the status is PROPER.
     """
-    zero = _zero_like(l1.a) if not isinstance(l1.a, Fraction) else Fraction(0)
-    p1 = _homogeneous_vertex(l1, l2)
-    p2 = _homogeneous_vertex(l1, l3)
-    p3 = _homogeneous_vertex(l2, l3)
-    if exact_sign(p1[2]) == 0 or exact_sign(p2[2]) == 0 or exact_sign(p3[2]) == 0:
-        return zero, HAS_PARALLEL_PAIR
-    det = (
-        p1[0] * (p2[1] * p3[2] - p2[2] * p3[1])
-        - p1[1] * (p2[0] * p3[2] - p2[2] * p3[0])
-        + p1[2] * (p2[0] * p3[1] - p2[1] * p3[0])
+    area, status = area_from_weights(
+        _peel(l1.c), _peel(l2.c), _peel(l3.c),
+        pair_weight(l1, l2), pair_weight(l1, l3), pair_weight(l2, l3),
     )
-    if exact_sign(det) == 0:
-        return zero, CONCURRENT
-    area = det / (p1[2] * p2[2] * p3[2] * 2)
-    if exact_sign(area) < 0:
-        area = -area
-    return area, PROPER
+    return (_zero_like(l1.a) if area is None else area), status
 
 
 @dataclass(frozen=True)
@@ -229,7 +249,7 @@ def frame_params(ell: Line, others: Iterable[Line]) -> list[FrameParam]:
 def triple_area_frame(ell: Line, li: Line, lj: Line) -> Tuple[Scalar, str]:
     """Area of the triangle (ell, li, lj) via the frame formula.
 
-    Independent of the shoelace route; used for cross-checking.
+    Independent of the coefficient-determinant route; used for cross-checking.
     """
     params = frame_params(ell, [li, lj])
     zero = Fraction(0) * ell.a

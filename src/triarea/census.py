@@ -7,9 +7,14 @@ parallel pair.  Rational arrangements whose canonical integer coefficients
 certify int64-safe intermediates build the table on the kernels in
 _kernels and keep each area as a reduced int64 (num, den) pair, building
 a ``Fraction`` only for an area a caller reads; everything else builds it
-with exact scalar arithmetic.  Counts, the memoised area ordering and its
-extremes, per-line counts, the triples of a given area, the bound checks
-and the colored triple system all read this one table.
+with exact scalar arithmetic.  Both builders use one formula, the area
+D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights: the C(n,2) pair
+weights w are computed once, and each triple costs one coefficient
+determinant D and its square (for a tower arrangement the only arithmetic
+in the deep field, since a and b stay in the base field).  Counts, the
+memoised area ordering and its extremes, per-line counts, the triples of a
+given area, the bound checks and the colored triple system all read this
+one table.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from .arrangement import (
     PROPER,
     Arrangement,
     _homogeneous_vertex,
+    area_from_weights,
     choose_reference_frame,
     frame_params,
-    triple_area,
+    pair_weight,
 )
 from .scalars import Scalar, _peel, exact_sign, format_scalar, is_rational
 
@@ -221,10 +227,13 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
 
 
 def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
+    # the C(n,2) pair weights once, then one coefficient determinant per triple
+    c = [_peel(line.c) for line in arr.lines]
+    w = {(i, j): pair_weight(li, lj) for (i, li), (j, lj) in combinations(enumerate(arr.lines), 2)}
     class_of: Dict[Scalar, int] = {}
     ids = []
-    for l1, l2, l3 in combinations(arr.lines, 3):
-        area, status = triple_area(l1, l2, l3)
+    for i, j, k in combinations(range(arr.n), 3):
+        area, status = area_from_weights(c[i], c[j], c[k], w[i, j], w[i, k], w[j, k])
         if status == PROPER:
             ids.append(class_of.setdefault(area, len(class_of)))
         else:

@@ -33,11 +33,21 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .arrangement import AffineMap, Arrangement, Line, horizontal_map, intersect
+from .arrangement import (
+    AffineMap,
+    Arrangement,
+    Line,
+    coefficient_determinant,
+    horizontal_map,
+    intersect,
+    pair_weight,
+)
 from .constructions import pentagon
 from .scalars import (
+    DEFAULT_PRECISION_BITS,
     QuadExt,
     Scalar,
+    _peel,
     exact_sign,
     interval_of,
     lift_to,
@@ -49,24 +59,19 @@ class ChainError(RuntimeError):
     """Construction left its provable envelope (should not happen)."""
 
 
-def _signed_double_area(l1: Line, l2: Line, l3: Line) -> Optional[Scalar]:
-    """det/(w1*w2*w3), i.e. twice the signed area; None when degenerate."""
-    def vert(p, q):
-        return (
-            p.b * q.c - q.b * p.c,
-            p.c * q.a - q.c * p.a,
-            p.a * q.b - q.a * p.b,
-        )
+def _weights(l1: Line, l2: Line, l3: Line) -> Optional[Tuple[Scalar, Scalar, Scalar]]:
+    """Pair weights (w12, w13, w23), or None when two lines are parallel."""
+    w = (pair_weight(l1, l2), pair_weight(l1, l3), pair_weight(l2, l3))
+    return None if 0 in map(exact_sign, w) else w
 
-    p1, p2, p3 = vert(l1, l2), vert(l1, l3), vert(l2, l3)
-    if exact_sign(p1[2]) == 0 or exact_sign(p2[2]) == 0 or exact_sign(p3[2]) == 0:
+
+def _signed_double_area(l1: Line, l2: Line, l3: Line) -> Optional[Scalar]:
+    """D^2/(w12*w13*w23), i.e. twice the signed area; None when degenerate."""
+    w = _weights(l1, l2, l3)
+    if w is None:
         return None
-    det = (
-        p1[0] * (p2[1] * p3[2] - p2[2] * p3[1])
-        - p1[1] * (p2[0] * p3[2] - p2[2] * p3[0])
-        + p1[2] * (p2[0] * p3[1] - p2[1] * p3[0])
-    )
-    return det / (p1[2] * p2[2] * p3[2])
+    d = coefficient_determinant(_peel(l1.c), _peel(l2.c), _peel(l3.c), *w)
+    return d * d / (w[0] * w[1] * w[2])
 
 
 def _translate_line(line: Line, vx: Scalar, vy: Scalar) -> Line:
@@ -304,15 +309,14 @@ def _roots_compare(r1: _Root, r2: _Root) -> int:
         return 0
     if r1.rad is not None and r2.rad is not None and _same_rad(r1.rad, r2.rad):
         return exact_sign(r1.value() - r2.value())
-    bits = 64
-    while bits <= 65536:
-        i1 = interval_of(r1.value(), bits)
-        i2 = interval_of(r2.value(), bits)
-        c = i1.compare(i2)
+    bits = DEFAULT_PRECISION_BITS
+    while True:
+        c = interval_of(r1.value(), bits).compare(interval_of(r2.value(), bits))
         if c is not None:
             return c
+        if bits >= 65536:
+            raise ChainError("slide roots did not separate at maximum precision")
         bits *= 2
-    raise ChainError("slide roots did not separate at maximum precision")
 
 
 def _same_rad(d1: Scalar, d2: Scalar) -> bool:
@@ -323,60 +327,56 @@ def _same_rad(d1: Scalar, d2: Scalar) -> bool:
 
 
 def _field_height(x: Scalar) -> int:
-    h = 0
-    while isinstance(x, QuadExt):
-        h += 1
-        x = x.rad
-    return h
+    return x.height if isinstance(x, QuadExt) else 0
 
 
-def _quadratic_roots(c2: Scalar, c1: Scalar, c0: Scalar) -> List[_Root]:
-    """Exact roots of c2 t^2 + c1 t + c0 = 0 (degree may degenerate).
-
-    Inputs must already be lifted to the ambient field so that the
-    discriminant's squareness test runs in that field, not a subfield.
-    """
-    if exact_sign(c2) == 0:
-        if exact_sign(c1) == 0:
-            return []
-        return [_Root(alpha=-c0 / c1, beta=Fraction(0), rad=None)]
-    disc = c1 * c1 - 4 * c2 * c0
-    s = exact_sign(disc)
-    if s < 0:
-        return []
-    if s == 0:
-        return [_Root(alpha=-c1 / (2 * c2), beta=Fraction(0), rad=None)]
-    root = sqrt_exact(disc)
-    if root is not None:
-        return [
-            _Root(alpha=(-c1 + root) / (2 * c2), beta=Fraction(0), rad=None),
-            _Root(alpha=(-c1 - root) / (2 * c2), beta=Fraction(0), rad=None),
-        ]
-    inv = 1 / (2 * c2)
-    return [
-        _Root(alpha=-c1 * inv, beta=inv, rad=disc),
-        _Root(alpha=-c1 * inv, beta=-inv, rad=disc),
-    ]
-
-
-def _area_polynomial(
+def _slide_determinant(
     fixed: Sequence[Line], moving: Sequence[Line], vx: Scalar, vy: Scalar
 ) -> Optional[Tuple[Scalar, Scalar, Scalar]]:
-    """Coefficients (c0, c1, c2) of the signed double area of the triple as
-    the moving lines translate by t*(vx, vy); None when degenerate for all
-    t (parallel pair)."""
-    def at(t: Scalar) -> Optional[Scalar]:
-        lines = list(fixed) + [_translate_line(l, vx * t, vy * t) for l in moving]
-        return _signed_double_area(*lines)
+    """(D0, D1, W) of the triple (fixed lines first) as the moving lines
+    translate by t*(vx, vy): twice its signed area is D(t)^2/W with
+    D(t) = D0 + t*D1.  None when degenerate for all t (parallel pair).
 
-    q0 = at(Fraction(0))
-    qp = at(Fraction(1))
-    qm = at(Fraction(-1))
-    if q0 is None or qp is None or qm is None:
+    A translation keeps a and b, so the pair weights and W = w12*w13*w23
+    stay put, and moves each offset linearly, c(t) = c - t*(a*vx + b*vy);
+    the coefficient determinant is linear in the offsets."""
+    lines = list(fixed) + list(moving)
+    w = _weights(*lines)
+    if w is None:
         return None
-    c2 = (qp + qm) / 2 - q0
-    c1 = (qp - qm) / 2
-    return (q0, c1, c2)
+    rates = [Fraction(0)] * len(fixed) + [-(_peel(l.a) * vx + _peel(l.b) * vy) for l in moving]
+    d0 = coefficient_determinant(*(_peel(l.c) for l in lines), *w)
+    d1 = coefficient_determinant(*rates, *w)
+    return d0, d1, w[0] * w[1] * w[2]
+
+
+def _contact_roots(d0: Scalar, d1: Scalar, den: Scalar, target: Scalar, field: Scalar) -> List[_Root]:
+    """Exact roots t of D(t)^2/den = target, then of D(t)^2/den = -target,
+    with D(t) = d0 + t*d1 and d1 nonzero, lifted into the ambient field.
+
+    Each is the quadratic c2 t^2 + c1 t + c0 -+ target with (c0, c1, c2) =
+    (d0^2, 2*d0*d1, d1^2)/den.  As c1^2 = 4*c0*c2, its discriminant is
+    +-4*c2*target, which stays in the field of the weights; it is lifted
+    before its squareness test, so that the test runs in the ambient field.
+    """
+    def root(alpha: Scalar, beta: Scalar = Fraction(0), rad: Optional[Scalar] = None) -> _Root:
+        return _Root(lift_to(alpha, field), beta if rad is None else lift_to(beta, field), rad)
+
+    c2 = d1 * d1 / den
+    c1 = 2 * d0 * d1 / den
+    roots = []
+    for sgn in (1, -1):
+        disc = 4 * sgn * c2 * target
+        if exact_sign(disc) < 0:
+            continue
+        disc = lift_to(disc, field)
+        r = sqrt_exact(disc)
+        if r is not None:
+            roots += [root((-c1 + r) / (2 * c2)), root((-c1 - r) / (2 * c2))]
+        else:
+            inv = 1 / (2 * c2)
+            roots += [root(-c1 * inv, inv, disc), root(-c1 * inv, -inv, disc)]
+    return roots
 
 
 def _cross_triples(nl: int, nk: int):
@@ -398,25 +398,21 @@ def _first_contact(
 ) -> Tuple[_Root, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Smallest positive slide parameter at which a mixed triple reaches
     double area +-2*max_area, with the witnessing triple."""
-    target = lift_to(2 * max_area, field)
+    target = 2 * max_area
     best: Optional[_Root] = None
     best_triple = None
     for (il, ik) in _cross_triples(len(lines_l), len(lines_k)):
         fixed = [lines_k[g] for g in ik]
         moving = [lines_l[i] for i in il]
-        poly = _area_polynomial(fixed, moving, vx, vy)
-        if poly is None:
-            continue
-        c0, c1, c2 = (lift_to(c, field) for c in poly)
-        if exact_sign(c1) == 0 and exact_sign(c2) == 0:
-            continue  # rigid under this slide
-        for sgn in (1, -1):
-            for root in _quadratic_roots(c2, c1, c0 - sgn * target):
-                if _root_sign(root) <= 0:
-                    continue
-                if best is None or _roots_compare(root, best) < 0:
-                    best = root
-                    best_triple = (il, ik)
+        slide = _slide_determinant(fixed, moving, vx, vy)
+        if slide is None or not slide[1]:
+            continue  # parallel pair, or rigid under this slide
+        for root in _contact_roots(*slide, target, field):
+            if _root_sign(root) <= 0:
+                continue
+            if best is None or _roots_compare(root, best) < 0:
+                best = root
+                best_triple = (il, ik)
     if best is None:
         raise ChainError("slide never reaches the maximum area")
     return best, best_triple

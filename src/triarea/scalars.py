@@ -13,7 +13,9 @@ Three kinds of scalars appear in arrangements:
   bounds cannot settle is reported as undecided rather than rounded.
 
 All equality and sign decisions are exact.  Intervals serve as a fast path
-for sign tests deep in a tower, with the algebraic fallback always available.
+for sign tests deep in a tower, with the algebraic fallback always available:
+:func:`interval_of` encloses a scalar in integer fixed-point bounds
+``lo/2^bits <= x <= hi/2^bits``, memoised per node and precision.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Optional, Tuple, Union
 
@@ -59,11 +62,6 @@ class CertifiedInterval:
         if self.lower > self.upper:
             raise ValueError("interval bounds out of order")
 
-    @staticmethod
-    def exact(x: Rat, bits: int = DEFAULT_PRECISION_BITS) -> "CertifiedInterval":
-        f = _frac(x)
-        return CertifiedInterval(f, f, bits)
-
     def round_out(self, bits: int) -> "CertifiedInterval":
         return CertifiedInterval(
             _dyadic_floor(self.lower, bits), _dyadic_ceil(self.upper, bits), bits
@@ -81,23 +79,13 @@ class CertifiedInterval:
     def __sub__(self, other: "CertifiedInterval") -> "CertifiedInterval":
         return self + (-other)
 
-    def __mul__(self, other: "CertifiedInterval") -> "CertifiedInterval":
-        bits = min(self.precision_bits, other.precision_bits)
-        products = [
-            self.lower * other.lower,
-            self.lower * other.upper,
-            self.upper * other.lower,
-            self.upper * other.upper,
-        ]
-        return CertifiedInterval(min(products), max(products), bits).round_out(bits)
-
     def sqrt(self) -> "CertifiedInterval":
         if self.lower < 0:
             raise ValueError("sqrt of interval reaching below zero")
         bits = self.precision_bits
-        return CertifiedInterval(
-            _sqrt_lower(self.lower, bits), _sqrt_upper(self.upper, bits), bits
-        )
+        lo = _rational_sqrt_bounds(self.lower.numerator, self.lower.denominator, bits)[0]
+        hi = _rational_sqrt_bounds(self.upper.numerator, self.upper.denominator, bits)[1]
+        return CertifiedInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
 
     def contains_zero(self) -> bool:
         return self.lower <= 0 <= self.upper
@@ -120,22 +108,6 @@ class CertifiedInterval:
         return float((self.lower + self.upper) / 2)
 
 
-def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    # isqrt(p*q*4^bits) // (q*2^bits) <= sqrt(p/q), tight to one ulp.
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    m = isqrt(p * q << (2 * bits))
-    return Fraction(m, q << bits)
-
-def _sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    m = isqrt(p * q << (2 * bits))
-    return Fraction(m + 1, q << bits)
-
-
 class QuadExt:
     """Exact element ``a + b*sqrt(rad)`` of a quadratic extension.
 
@@ -144,50 +116,73 @@ class QuadExt:
     tower.  ``rad`` must be positive and must not be a square in the base
     field (callers building towers check this with :func:`sqrt_exact`).
     Representation is unique, so equality and hashing are componentwise.
+
+    Arithmetic with a rational, or with an element of the components' field
+    (a lower tower height), works on ``a`` and ``b`` directly; only operands
+    from the same level or a collapsed representation go through lifting.
     """
 
-    __slots__ = ("a", "b", "rad", "_sign_memo")
+    __slots__ = ("a", "b", "rad", "height", "_sign_memo", "_bounds_memo", "_sqrt_memo")
 
     def __init__(self, a, b, rad) -> None:
         self.a = _frac(a) if isinstance(a, int) else a
         self.b = _frac(b) if isinstance(b, int) else b
         self.rad = _frac(rad) if isinstance(rad, int) else rad
+        # number of square roots along the radicand chain
+        self.height = rad.height + 1 if isinstance(rad, QuadExt) else 1
         self._sign_memo: Optional[int] = None
+        self._bounds_memo = self._sqrt_memo = None
 
     # -- helpers -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if _same_scalar(other.rad, self.rad):
-                return other
-            if isinstance(self.rad, Fraction) and isinstance(other.rad, Fraction):
-                raise ValueError("mixed radicands in quadratic arithmetic")
-            try:
-                # Tower case: embed an element of a subfield.
-                return lift_to(other, self)
-            except ValueError:
-                return NotImplemented
-        if is_rational(other):
-            return QuadExt(_lift_like(_frac(other), self.a), _zero_like(self.a), self.rad)
-        return NotImplemented
+    def _below(self, other) -> bool:
+        """Is other a rational or an element of the field of a and b?"""
+        if not isinstance(other, QuadExt):
+            return isinstance(other, (int, Fraction))
+        return (
+            other.height < self.height
+            and isinstance(self.a, QuadExt)
+            and other.rad is not self.rad
+            and not rad_equal(other.rad, self.rad)
+        )
+
+    def _coerce(self, other: "QuadExt"):
+        if other.rad is self.rad or _same_scalar(other.rad, self.rad):
+            return other
+        if isinstance(self.rad, Fraction) and isinstance(other.rad, Fraction):
+            raise ValueError("mixed radicands in quadratic arithmetic")
+        try:
+            # Tower case: embed an element of a subfield.
+            return lift_to(other, self)
+        except ValueError:
+            return NotImplemented
 
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.rad)
 
     def _pair(self, other):
-        """Both operands in a common field, lifting one side if needed."""
+        """Both operands in a common field, lifting one side if needed; None
+        when other is not a scalar of a compatible field."""
+        if not isinstance(other, QuadExt):
+            return None
         o = self._coerce(other)
         if o is not NotImplemented:
             return self, o
-        if isinstance(other, QuadExt):
-            s = other._coerce(self)
-            if s is not NotImplemented:
-                return s, other
+        s = other._coerce(self)
+        if s is not NotImplemented:
+            return s, other
         return None
 
     # -- ring operations ----------------------------------------------
 
+    # Each operation first tries the subfield fast path in both directions
+    # (_below), which gives the same tree as lifting the lower operand would.
+
     def __add__(self, other):
+        if self._below(other):
+            return QuadExt(self.a + other, self.b, self.rad)
+        if isinstance(other, QuadExt) and other._below(self):
+            return QuadExt(self + other.a, other.b, other.rad)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -200,6 +195,10 @@ class QuadExt:
         return QuadExt(-self.a, -self.b, self.rad)
 
     def __sub__(self, other):
+        if self._below(other):
+            return QuadExt(self.a - other, self.b, self.rad)
+        if isinstance(other, QuadExt) and other._below(self):
+            return QuadExt(self - other.a, -other.b, other.rad)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -210,6 +209,10 @@ class QuadExt:
         return (-self) + other
 
     def __mul__(self, other):
+        if self._below(other):
+            return QuadExt(self.a * other, self.b * other, self.rad)
+        if isinstance(other, QuadExt) and other._below(self):
+            return QuadExt(self * other.a, self * other.b, other.rad)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -223,6 +226,10 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if self._below(other):
+            return QuadExt(self.a / other, self.b / other, self.rad)
+        if isinstance(other, QuadExt) and other._below(self):
+            return _divide_below(self, other)
         p = self._pair(other)
         if p is None:
             return NotImplemented
@@ -235,10 +242,7 @@ class QuadExt:
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+        return _divide_below(other, self) if self._below(other) else NotImplemented
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -310,6 +314,12 @@ class QuadExt:
 
     def __float__(self) -> float:
         return interval_of(self, 80).midpoint_float()
+
+
+def _divide_below(x: Scalar, y: QuadExt) -> QuadExt:
+    """x / y for x rational or in the field of y's components."""
+    norm = y.a * y.a - y.b * y.b * y.rad
+    return QuadExt(x * y.a / norm, -(x * y.b) / norm, y.rad)
 
 
 def _zero_like(template: Scalar) -> Scalar:
@@ -441,12 +451,55 @@ def _quadext_sign(x: QuadExt) -> int:
 
 def interval_of(x: Scalar, bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInterval:
     """Certified enclosure of any scalar at the requested precision."""
-    if isinstance(x, (int, Fraction)):
-        return CertifiedInterval.exact(x, bits).round_out(bits)
-    ia = interval_of(x.a, bits)
-    ib = interval_of(x.b, bits)
-    ir = interval_of(x.rad, bits)
-    return ia + ib * ir.sqrt()
+    lo, hi = _bounds(x, bits)
+    return CertifiedInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
+
+
+def _bounds(x: Scalar, bits: int) -> Tuple[int, int]:
+    """Integers lo, hi with lo <= x * 2^bits <= hi.
+
+    Each tower node keeps its bounds per precision: nodes are immutable, so
+    a radicand shared by many elements is enclosed once.
+    """
+    if not isinstance(x, QuadExt):
+        n, d = (x, 1) if isinstance(x, int) else (x.numerator, x.denominator)
+        return (n << bits) // d, -((-n << bits) // d)
+    memo = x._bounds_memo
+    if memo is None:
+        memo = x._bounds_memo = {}
+    got = memo.get(bits)
+    if got is None:
+        al, ah = _bounds(x.a, bits)
+        bl, bh = _bounds(x.b, bits)
+        sl, sh = _sqrt_bounds(x.rad, bits)
+        ends = (bl * sl, bl * sh, bh * sl, bh * sh)
+        got = memo[bits] = (al + (min(ends) >> bits), ah - (-max(ends) >> bits))
+    return got
+
+
+def _sqrt_bounds(r: Scalar, bits: int) -> Tuple[int, int]:
+    """Integers lo, hi with lo <= sqrt(r) * 2^bits <= hi, for a radicand r > 0."""
+    if not isinstance(r, QuadExt):
+        return _rational_sqrt_bounds(r.numerator, r.denominator, bits)
+    memo = r._sqrt_memo
+    if memo is None:
+        memo = r._sqrt_memo = {}
+    got = memo.get(bits)
+    if got is None:
+        lo, hi = _bounds(r, bits)
+        got = memo[bits] = _isqrt_bounds(max(lo, 0) << bits, hi << bits)
+    return got
+
+
+@lru_cache(maxsize=256)
+def _rational_sqrt_bounds(n: int, d: int, bits: int) -> Tuple[int, int]:
+    return _isqrt_bounds((n << 2 * bits) // d, -((-n << 2 * bits) // d))
+
+
+def _isqrt_bounds(lo: int, hi: int) -> Tuple[int, int]:
+    """isqrt(lo) <= sqrt(t) <= the returned upper end, for lo <= t <= hi."""
+    top = isqrt(hi)
+    return isqrt(lo), top if top * top == hi else top + 1
 
 
 def sqrt_exact(x: Scalar) -> Optional[Scalar]:
@@ -491,7 +544,7 @@ def scalar_floor(x: Scalar) -> int:
     """Exact floor of any scalar."""
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    iv = interval_of(x, 64)
+    iv = interval_of(x, DEFAULT_PRECISION_BITS)
     m = iv.lower.numerator // iv.lower.denominator
     while exact_sign(x - (m + 1)) >= 0:
         m += 1

@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,8 @@ from triarea.arrangement import (
     triple_area,
     triple_area_frame,
 )
-from triarea.scalars import QuadExt, exact_sign
+from triarea.chain import max_chain
+from triarea.scalars import QuadExt, exact_sign, format_scalar
 
 
 def q5(a, b):
@@ -184,6 +187,100 @@ class TestTripleArea:
         else:
             assert s1 == s2
             assert a1 == a2
+
+
+def vertex_determinant_area(l1, l2, l3):
+    """Oracle: the area from the 3x3 determinant of the three homogeneous
+    vertices, det / (2*w12*w13*w23), with every product in the lines' own
+    tower."""
+
+    def vertex(p, q):
+        return (p.b * q.c - q.b * p.c, p.c * q.a - q.c * p.a, p.a * q.b - q.a * p.b)
+
+    p1, p2, p3 = vertex(l1, l2), vertex(l1, l3), vertex(l2, l3)
+    if any(exact_sign(p[2]) == 0 for p in (p1, p2, p3)):
+        return None, HAS_PARALLEL_PAIR
+    det = (
+        p1[0] * (p2[1] * p3[2] - p2[2] * p3[1])
+        - p1[1] * (p2[0] * p3[2] - p2[2] * p3[0])
+        + p1[2] * (p2[0] * p3[1] - p2[1] * p3[0])
+    )
+    if exact_sign(det) == 0:
+        return None, CONCURRENT
+    return abs(det / (p1[2] * p2[2] * p3[2] * 2)), PROPER
+
+
+def assert_matches_vertex_oracle(l1, l2, l3):
+    area, status = triple_area(l1, l2, l3)
+    want, want_status = vertex_determinant_area(l1, l2, l3)
+    assert status == want_status
+    if status == PROPER:
+        assert area == want
+        assert format_scalar(area) == format_scalar(want)
+    else:
+        assert exact_sign(area) == 0
+
+
+@st.composite
+def near_gate_triples(draw):
+    # integer lines at the edge of the int64 gate (48*A^4*C^2 < 2^62), with
+    # a shared direction or a shared crossing drawn in often enough to hit
+    # the parallel and concurrent branches
+    A = draw(st.integers(1, 600))
+    C = isqrt((2**62 - 1) // (48 * A**4))
+    ab = st.one_of(st.sampled_from([-A, A]), st.integers(-A, A))
+    c = st.one_of(st.sampled_from([-C, C, 1 - C, C - 1]), st.integers(-C, C))
+    rows = [(draw(ab), draw(ab), draw(c)) for _ in range(2)]
+    kind = draw(st.sampled_from(["free", "parallel", "concurrent"]))
+    if kind == "free":
+        rows.append((draw(ab), draw(ab), draw(c)))
+    elif kind == "parallel":
+        rows.append((rows[0][0], rows[0][1], draw(c)))
+    else:  # a combination of the first two passes through their crossing
+        lam = draw(st.integers(-3, 3))
+        rows.append(tuple(u + lam * v for u, v in zip(*rows)))
+    return rows
+
+
+@st.composite
+def q5_triples(draw):
+    q = st.builds(q5, st.integers(-6, 6), st.integers(-6, 6))
+    rows = [(draw(q), draw(q), draw(q)) for _ in range(2)]
+    if draw(st.booleans()):
+        rows.append((draw(q), draw(q), draw(q)))
+    else:  # through the crossing of the first two, or parallel to the first
+        lam = draw(q)
+        rows.append(tuple(u + lam * v for u, v in zip(*rows)))
+    return rows
+
+
+class TestCoefficientDeterminantArea:
+    """triple_area's D^2 / (2*|w12*w13*w23|) against the vertex determinant."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(near_gate_triples(), q5_triples()))
+    def test_matches_vertex_oracle(self, rows):
+        try:
+            lines = [Line(*row) for row in rows]
+        except InvalidLineError:
+            return
+        assert_matches_vertex_oracle(*lines)
+
+    def test_branches_are_reached(self):
+        l1, l2 = Line(3, -1, 7), Line(q5(1, 2), 1, q5(0, -3))
+        assert triple_area(l1, l2, Line(3, -1, -2))[1] == HAS_PARALLEL_PAIR
+        through = Line(*(u + 2 * v for u, v in zip(l1.coefficients(), l2.coefficients())))
+        assert triple_area(l1, l2, through)[1] == CONCURRENT
+        assert vertex_determinant_area(l1, l2, through)[1] == CONCURRENT
+
+    def test_every_triple_of_a_chain(self):
+        for l1, l2, l3 in combinations(_chain_lines(), 3):
+            assert_matches_vertex_oracle(l1, l2, l3)
+
+
+@cache
+def _chain_lines():
+    return max_chain(1).lines
 
 
 class TestFrames:

@@ -6,6 +6,10 @@ maximum area gains seven more witnesses.  One round costs a few seconds of
 exact arithmetic; deeper chains run in the acceptance suite only.
 """
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,6 +18,7 @@ from triarea import (
     PROPER,
     Arrangement,
     ChainError,
+    Line,
     census,
     combine,
     max_chain,
@@ -21,7 +26,8 @@ from triarea import (
     pentagon_max_area,
     triple_area,
 )
-from triarea.scalars import exact_sign
+from triarea.chain import _contact_roots, _cross_triples, _first_contact, _place_parts, _slide_determinant
+from triarea.scalars import exact_sign, lift_to, sqrt_exact
 
 
 def test_pentagon_max_area_value():
@@ -94,3 +100,122 @@ def test_serialization_round_trip():
     c1, c2 = census(arr), census(back)
     assert dict(c1.area_counts) == dict(c2.area_counts)
     assert c2.count(c2.max_area) == 12
+
+
+def three_point_polynomial(fixed, moving, vx, vy):
+    """Oracle: the slide quadratic interpolated from the signed double area
+    at t = -1, 0, 1, each from translated lines and the determinant of their
+    homogeneous vertices."""
+
+    def signed_double_area(l1, l2, l3):
+        def vertex(p, q):
+            return (p.b * q.c - q.b * p.c, p.c * q.a - q.c * p.a, p.a * q.b - q.a * p.b)
+
+        p1, p2, p3 = vertex(l1, l2), vertex(l1, l3), vertex(l2, l3)
+        if any(exact_sign(p[2]) == 0 for p in (p1, p2, p3)):
+            return None
+        det = (
+            p1[0] * (p2[1] * p3[2] - p2[2] * p3[1])
+            - p1[1] * (p2[0] * p3[2] - p2[2] * p3[0])
+            + p1[2] * (p2[0] * p3[1] - p2[1] * p3[0])
+        )
+        return det / (p1[2] * p2[2] * p3[2])
+
+    def at(t):
+        moved = [Line(l.a, l.b, l.c - (l.a * vx * t + l.b * vy * t)) for l in moving]
+        return signed_double_area(*fixed, *moved)
+
+    qm, q0, qp = at(Fraction(-1)), at(Fraction(0)), at(Fraction(1))
+    if q0 is None:
+        return None
+    return (q0, (qp - qm) / 2, (qp + qm) / 2 - q0)
+
+
+def generic_roots(c2, c1, c0, field):
+    """Oracle: roots of c2 t^2 + c1 t + c0 by the quadratic formula, every
+    coefficient lifted into the ambient field first, as (alpha, beta, rad)
+    with the root alpha + beta*sqrt(rad) (rad None when in the field)."""
+    c2, c1, c0 = (lift_to(c, field) for c in (c2, c1, c0))
+    if exact_sign(c2) == 0:
+        return [] if exact_sign(c1) == 0 else [(-c0 / c1, Fraction(0), None)]
+    disc = c1 * c1 - 4 * c2 * c0
+    if exact_sign(disc) < 0:
+        return []
+    if exact_sign(disc) == 0:
+        return [(-c1 / (2 * c2), Fraction(0), None)]
+    r = sqrt_exact(disc)
+    if r is not None:
+        return [((-c1 + r) / (2 * c2), Fraction(0), None), ((-c1 - r) / (2 * c2), Fraction(0), None)]
+    inv = 1 / (2 * c2)
+    return [(-c1 * inv, inv, disc), (-c1 * inv, -inv, disc)]
+
+
+@pytest.fixture(scope="module")
+def pentagon_slides():
+    """The slides of the first chaining round on the pentagon placement: the
+    horizontal one, then the one along the anchor after the first contact,
+    where the moving lines' offsets sit in a deeper tower; as (moving
+    lines, fixed lines, vx, vy, field)."""
+    target = pentagon_max_area()
+    lines_l, lines_k = _place_parts(list(pentagon().lines), list(pentagon().lines), target)
+    t1, (il, ik) = _first_contact(lines_l, lines_k, Fraction(1), Fraction(0), target, target)
+    tv = t1.value()
+    assert tv.height == 2  # the contact adjoins a square root to Q(sqrt 5)
+    moved = [Line(l.a, l.b, l.c - l.a * tv) for l in lines_l]
+    anchor = lines_k[ik[0]] if len(ik) == 1 else lines_l[il[0]]
+    return [(lines_l, lines_k, Fraction(1), Fraction(0), target), (moved, lines_k, *anchor.direction(), tv)]
+
+
+def slide_triples(lines, lines_k):
+    for il, ik in _cross_triples(len(lines), len(lines_k)):
+        yield [lines_k[g] for g in ik], [lines[i] for i in il]
+
+
+def test_slide_polynomial_matches_three_point_evaluation(pentagon_slides):
+    checked = 0
+    for lines, lines_k, vx, vy, _ in pentagon_slides:
+        for fixed, moving in slide_triples(lines, lines_k):
+            slide = _slide_determinant(fixed, moving, vx, vy)
+            want = three_point_polynomial(fixed, moving, vx, vy)
+            assert (slide is None) == (want is None)
+            if slide is not None:
+                d0, d1, den = slide
+                got = (d0 * d0 / den, 2 * d0 * d1 / den, d1 * d1 / den)
+                assert all(exact_sign(g - w) == 0 for g, w in zip(got, want))
+                checked += 1
+    assert checked == 2 * 100
+
+
+def test_contact_roots_match_quadratic_formula(pentagon_slides):
+    target = 2 * pentagon_max_area()
+    rooted = 0
+    for lines, lines_k, vx, vy, field in pentagon_slides:
+        for fixed, moving in slide_triples(lines, lines_k):
+            d0, d1, den = _slide_determinant(fixed, moving, vx, vy)
+            if not d1:
+                continue
+            want = []
+            for sgn in (1, -1):
+                c0, c1, c2 = d0 * d0 / den - sgn * target, 2 * d0 * d1 / den, d1 * d1 / den
+                want += generic_roots(c2, c1, c0, field)
+            got = [(r.alpha, r.beta, r.rad) for r in _contact_roots(d0, d1, den, target, field)]
+            assert [tuple(map(repr, r)) for r in got] == [tuple(map(repr, r)) for r in want]
+            rooted += bool(got)
+    assert rooted > 100
+
+
+def test_precision_env_sets_first_root_comparison():
+    # sqrt 2 against sqrt 3 in different extensions: only intervals separate them
+    code = (
+        "from fractions import Fraction as F\n"
+        "import triarea.chain as c\n"
+        "bits, interval_of = [], c.interval_of\n"
+        "def recording(x, b):\n"
+        "    bits.append(b)\n"
+        "    return interval_of(x, b)\n"
+        "c.interval_of = recording\n"
+        "print(c._roots_compare(c._Root(F(0), F(1), F(2)), c._Root(F(0), F(1), F(3))), bits[0])\n"
+    )
+    env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout.split() == ["-1", "8"], out.stderr

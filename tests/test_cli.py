@@ -7,6 +7,7 @@ resolves exactly, so that path is covered by unit tests on the chain's
 root separation instead.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -206,6 +207,23 @@ def test_pipe_subprocess():
     )
     assert got.returncode == 0
     assert got.stdout.strip() == "24"
+
+
+# sha256 of `generate max-chain -k 1` and of `census --json` on its output,
+# recorded before the census and the chain moved to the coefficient
+# determinant; the tower arithmetic must not change a byte of either
+MAX_CHAIN_1_SHA256 = "8b2ea13241aae02529cd2414f64727a181114fe2acda8abe530c4129673d22fd"
+MAX_CHAIN_1_CENSUS_SHA256 = "2b6a63208b61e6058011ad619732312ac63da9af5dfab23dba932db3db30be04"
+
+
+def test_max_chain_outputs_pinned(tmp_path, capsys):
+    path = tmp_path / "chain.lines"
+    code, out, _ = run_cli(capsys, ["generate", "max-chain", "-k", "1", "-o", str(path)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MAX_CHAIN_1_SHA256
+    code, out, _ = run_cli(capsys, ["census", "--json", str(path)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == MAX_CHAIN_1_CENSUS_SHA256
 
 
 def test_census_stdin(capsys, monkeypatch, pentagon_file):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,69 @@ class TestSign:
         assert out.stdout.strip() == "8", out.stderr
 
 
+# a three-level tower over Q: sqrt 5, then sqrt(1 + sqrt 5), then
+# sqrt(2 + sqrt(1 + sqrt 5)); every element of one level shares its radicand
+TOWER_RADS = [F(5)]
+TOWER_RADS.append(QuadExt(F(1), F(1), TOWER_RADS[0]))
+TOWER_RADS.append(QuadExt(QuadExt(F(2), F(0), TOWER_RADS[0]), QuadExt(F(1), F(0), TOWER_RADS[0]), TOWER_RADS[1]))
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def tower_values(level):
+    """Elements of the tower's given level (0 is Q)."""
+    if level == 0:
+        return small_rationals
+    below = tower_values(level - 1)
+    return st.builds(QuadExt, below, below, st.just(TOWER_RADS[level - 1]))
+
+
+@st.composite
+def tower_pairs(draw):
+    """(x, y): x at level 1-3, y a rational, an int or an element below x."""
+    level = draw(st.integers(1, 3))
+    x = draw(tower_values(level))
+    y = draw(st.one_of(st.integers(-9, 9), tower_values(draw(st.integers(0, level - 1)))))
+    return x, y
+
+
+def mp_value(x):
+    """x to 300 digits with mpmath, independent of interval_of."""
+    if isinstance(x, (int, F)):
+        return mpmath.mpf(F(x).numerator) / F(x).denominator
+    return mp_value(x.a) + mp_value(x.b) * mpmath.sqrt(mp_value(x.rad))
+
+
+class TestSubfieldFastPath:
+    """Arithmetic with a rational or a lower tower level works on the
+    components directly; it must build the very tree that lifting the lower
+    operand into the higher field builds."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tower_pairs())
+    def test_matches_lifted_arithmetic(self, pair):
+        x, y = pair
+        lifted = lift_to(F(y) if isinstance(y, int) else y, x)
+        assert lifted.rad is x.rad  # so the lifted side takes the same-level path
+        cases = [
+            (x + y, x + lifted), (y + x, lifted + x),
+            (x - y, x - lifted), (y - x, lifted - x),
+            (x * y, x * lifted), (y * x, lifted * x),
+        ]
+        if y != 0:
+            cases.append((x / y, x / lifted))
+        if x != 0:
+            cases.append((y / x, lifted / x))
+        for fast, slow in cases:
+            assert isinstance(fast, QuadExt)
+            assert repr(fast) == repr(slow)
+            assert hash(fast) == hash(slow)
+            assert fast == slow
+
+    def test_height_counts_the_radicand_chain(self):
+        assert [QuadExt(F(0), F(1), r).height for r in TOWER_RADS] == [1, 2, 3]
+
+
 class TestIntervals:
     def test_sign_or_none(self):
         a = CertifiedInterval(F(-1), F(-1, 2))
@@ -174,6 +238,34 @@ class TestIntervals:
         iv = interval_of(x, bits)
         f = as_float(x)
         assert float(iv.lower) - 1e-6 <= f <= float(iv.upper) + 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3).flatmap(tower_values), st.sampled_from([8, 64, 192]))
+    def test_tower_interval_encloses_high_precision_value(self, x, bits):
+        iv = interval_of(x, bits)
+        assert iv.precision_bits == bits
+        with mpmath.workdps(300):
+            v = mp_value(x)
+            lo = mpmath.mpf(iv.lower.numerator) / iv.lower.denominator
+            hi = mpmath.mpf(iv.upper.numerator) / iv.upper.denominator
+            assert lo <= v <= hi
+        # the bounds are dyadic at the requested precision
+        assert (iv.lower * 2**bits).denominator == (iv.upper * 2**bits).denominator == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(tower_values))
+    def test_memo_is_per_precision(self, x):
+        # ask in both orders: a memoised enclosure at one precision must
+        # never answer for another
+        wide, fine = 8, 192
+        first = [interval_of(x, b) for b in (wide, fine)]
+        again = [interval_of(x, b) for b in (fine, wide)][::-1]
+        assert first == again
+        assert sorted(x._bounds_memo) == [wide, fine]
+        assert first[1].upper - first[1].lower <= first[0].upper - first[0].lower
+        for iv, b in zip(first, (wide, fine)):
+            assert iv.precision_bits == b
+            assert (iv.lower * 2**b).denominator == 1
 
     @given(quadext_values())
     def test_refinement_narrows(self, x):
@@ -206,6 +298,23 @@ class TestSqrtExact:
 
 
 class TestFloor:
+    def test_precision_env_sets_first_floor_attempt(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "import triarea.scalars as s\n"
+            "bits, interval_of = [], s.interval_of\n"
+            "def recording(x, b=s.DEFAULT_PRECISION_BITS):\n"
+            "    bits.append(b)\n"
+            "    return interval_of(x, b)\n"
+            "s.interval_of = recording\n"
+            "print(s.scalar_floor(s.QuadExt(F(1, 3), F(7), F(2))), bits[0])\n"
+        )
+        env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert out.stdout.split() == ["10", "8"], out.stderr
+
     def test_examples(self):
         assert scalar_floor(F(7, 3)) == 2
         assert scalar_floor(F(-7, 3)) == -3
