@@ -5,18 +5,24 @@ the lines crossing a reference line: edges mark maximum-area triangles
 whose crossing order and angle order agree (plus graph) or disagree (minus
 graph).  Both graphs are always forests, which caps the number of
 maximum-area triangles on any line at 2(n-2).
+
+The edge test is the frame formula with every denominator multiplied out:
+one division-free identity between ring elements of the coefficients,
+evaluated over all pairs of a reference line at once, for rational and
+tower arrangements alike (see build_gell_graphs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from .arrangement import Arrangement, frame_params, frame_scale, intersect
+import numpy as np
+
+from .arrangement import Arrangement, intersect
 from .census import AreaCensus, census, facial_triangles, per_line_counts, triples_with_area
-from .scalars import Scalar, exact_sign
+from .scalars import Scalar, _peel, exact_sign
 
 
 def kobon_bound(n: int) -> int:
@@ -103,6 +109,12 @@ class GellGraph:
         return len(self.e_plus) + len(self.e_minus)
 
 
+def _ring_leaf(x: Scalar):
+    """x with zero tower layers peeled, and an integral rational as an int."""
+    x = _peel(x)
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
 def build_gell_graphs(
     arr: Arrangement, ell_index: int, max_area: Optional[Scalar] = None
 ) -> GellGraph:
@@ -111,46 +123,62 @@ def build_gell_graphs(
     ``max_area`` defaults to the arrangement's census maximum.  The total
     number of edges equals the number of maximum-area triangles supported
     by the reference line.
+
+    A line p = (a, b, c) crossing the reference line (a0, b0, c0) sits at
+    frame coordinate x_p = U_p / (w_p*d) with cotangent y_p = dot_p / cr_p,
+    where (dx, dy) is the reference line's primitive direction, w = a0*b -
+    a*b0, dot = dx*b - dy*a, cr = -dx*a - dy*b (w up to a nonzero factor),
+    and d = dx, U = b0*c - b*c0 (d = dy, U = c0*a - c*a0 when dx = 0).  So
+    x_p - x_q = NX/DX and y_p - y_q = NY/DY with NX = U_p*w_q - U_q*w_p,
+    DX = w_p*w_q*d, NY = dot_p*cr_q - dot_q*cr_p and DY = cr_p*cr_q.  The
+    pair's triangle has area s*(x_p - x_q)^2 / (2*|y_p - y_q|) with
+    s = dx^2 + dy^2, so it is an edge exactly when NY != 0 and
+    |s*NX^2*DY| = |2*max_area*NY*DX^2|, that is when the two products are
+    equal or opposite: no division, and no sign per pair.  All pairs are
+    tested at once on numpy object arrays of ring elements (Python ints for
+    rational input, with the denominator of 2*max_area folded into s;
+    peeled QuadExt values for towers).  Exact signs are taken only on the
+    edges: an edge is plus when sign(NX)*sign(DX) = sign(NY)*sign(DY).  The
+    test never reads the census table, so the edge totals are an
+    independent check of it.
     """
     if max_area is None:
-        cen = census(arr)
-        max_area = cen.max_area
+        max_area = census(arr).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
     ell = arr.lines[ell_index]
-    others = []
-    keep = []
+    a0, b0, c0 = map(_ring_leaf, ell.coefficients())
+    dx, dy = map(_ring_leaf, ell.direction())
+    s, t = dx * dx + dy * dy, _ring_leaf(2 * max_area)
+    if isinstance(t, Fraction):
+        s, t = s * t.denominator, t.numerator
+    along_x = exact_sign(dx) != 0
+    d = dx if along_x else dy
+    keep, cols = [], []
     for idx, line in enumerate(arr.lines):
-        if idx == ell_index:
+        a, b, c = map(_ring_leaf, line.coefficients())
+        w = a0 * b - a * b0
+        if idx == ell_index or not w:
             continue
-        others.append(line)
         keep.append(idx)
-    params = frame_params(ell, others)
-    scale = frame_scale(ell)
-    target = 2 * max_area
+        u = b0 * c - b * c0 if along_x else c0 * a - c * a0
+        cols.append((u, w, dx * b - dy * a, -dx * a - dy * b))
+    u, w, dot, cr = np.array(cols, dtype=object).reshape(-1, 4).T
+    p, q = np.triu_indices(len(keep), 1)
+    nx = u[p] * w[q] - u[q] * w[p]
+    dxx = w[p] * w[q] * d
+    ny = dot[p] * cr[q] - dot[q] * cr[p]
+    dyy = cr[p] * cr[q]
+    lhs = nx * nx * dyy * s
+    rhs = ny * dxx * dxx * t
+    hits = np.flatnonzero((ny != 0) & ((lhs == rhs) | (lhs == -rhs)))
     e_plus: List[Tuple[int, int]] = []
     e_minus: List[Tuple[int, int]] = []
-    for p, q in combinations(params, 2):
-        dy = p.y - q.y
-        sy = exact_sign(dy)
-        if sy == 0:
-            continue
-        dx = p.x - q.x
-        sx = exact_sign(dx)
-        if exact_sign(scale * dx * dx - target * abs(dy)) != 0:
-            continue
-        edge = (keep[p.index], keep[q.index])
-        if sx == sy:
-            e_plus.append(edge)
-        else:
-            e_minus.append(edge)
-    return GellGraph(
-        ell_index=ell_index,
-        vertices=[keep[p.index] for p in params],
-        e_plus=e_plus,
-        e_minus=e_minus,
-        max_area=max_area,
-    )
+    for h in hits.tolist():
+        edge = (keep[int(p[h])], keep[int(q[h])])
+        plus = exact_sign(nx[h]) * exact_sign(dxx[h]) == exact_sign(ny[h]) * exact_sign(dyy[h])
+        (e_plus if plus else e_minus).append(edge)
+    return GellGraph(ell_index=ell_index, vertices=keep, e_plus=e_plus, e_minus=e_minus, max_area=max_area)
 
 
 def find_cycle(vertices: List[int], edges: List[Tuple[int, int]]) -> Optional[List[int]]:

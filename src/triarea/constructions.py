@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .arrangement import Arrangement, Line, intersect
+import numpy as np
+
+from .arrangement import Arrangement, Line
 from .scalars import QuadExt, Scalar, exact_sign
 
 
@@ -191,11 +193,21 @@ def random_general_position(
     offset_bound: int = 400,
 ) -> Arrangement:
     """Seeded random arrangement with no parallel pair and no concurrent
-    triple (enforced by rejection during incremental construction)."""
+    triple (enforced by rejection during incremental construction).
+
+    The crossings of the accepted lines are kept as homogeneous integer
+    vertices (X, Y, W); a candidate (a, b, c) is concurrent with two of them
+    when a*X + b*Y + c*W = 0 at one vertex.  That sum is at most
+    6*coeff_bound^2*offset_bound in size, so it runs on int64 when this is
+    below 2^62 and on Python ints otherwise.
+    """
     rng = random.Random(seed)
     lines: List[Line] = []
     directions = set()
-    vertices: List[Tuple[Fraction, Fraction]] = []
+    dtype = np.int64 if 6 * coeff_bound**2 * abs(offset_bound) < 2**62 else object
+    abc = np.zeros((3, n), dtype=dtype)  # drawn coefficients of the accepted lines
+    xyw = np.zeros((3, n * (n - 1) // 2), dtype=dtype)  # their crossings
+    m = 0  # crossings so far
     while len(lines) < n:
         a = rng.randint(-coeff_bound, coeff_bound)
         b = rng.randint(-coeff_bound, coeff_bound)
@@ -206,11 +218,14 @@ def random_general_position(
         d = ln.direction()
         if d in directions:
             continue
-        if any(ln.evaluate(v) == 0 for v in vertices):
+        x, y, w = xyw[:, :m]
+        if (a * x + b * y + c * w == 0).any():
             continue
-        for other in lines:
-            p = intersect(ln, other)
-            vertices.append(p)
+        k = len(lines)
+        pa, pb, pc = abc[:, :k]
+        xyw[:, m : m + k] = (b * pc - pb * c, c * pa - pc * a, a * pb - pa * b)
+        abc[:, k] = (a, b, c)
+        m += k
         directions.add(d)
         lines.append(ln)
     return Arrangement(lines)

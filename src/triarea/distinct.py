@@ -128,7 +128,10 @@ def _greedy(sys: ColoredTripleSystem, rng: random.Random) -> List[int]:
     for v in order:
         ids = sys._ids(pi, pj, v)
         # a degenerate id, a color already used, or two new triples alike
-        if (ids < 0).any() or used[ids].any() or len(np.unique(ids)) < len(ids):
+        if (ids < 0).any() or used[ids].any():
+            continue
+        ids = np.sort(ids)
+        if (ids[1:] == ids[:-1]).any():
             continue
         used[ids] = True
         pi = np.concatenate([pi, np.asarray(chosen, dtype=np.int64)])

@@ -1,10 +1,14 @@
 """Tests for closed-form bounds and the structural invariant checker."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from triarea import (
+    AffineMap,
     Arrangement,
     BoundsReport,
     CheckResult,
@@ -23,6 +27,9 @@ from triarea import (
     trigrid,
     verify_arrangement,
 )
+from triarea.arrangement import frame_params, frame_scale
+from triarea.chain import max_chain
+from triarea.scalars import exact_sign
 
 # best possible triangular-face counts for small n, published values
 KOBON_TABLE = {
@@ -105,6 +112,92 @@ def test_gell_graph_pentagon():
         assert find_cycle(gg.vertices, gg.e_plus) is None
         assert find_cycle(gg.vertices, gg.e_minus) is None
         assert set(gg.vertices) == set(range(arr.n)) - {idx}
+
+
+def oracle_gell_graphs(arr, ell_index, area):
+    """The frame-parameter route: x and y of every crossing line as exact
+    scalars, then s*(x_p - x_q)^2 = 2*area*|y_p - y_q| pair by pair."""
+    ell = arr.lines[ell_index]
+    keep = [i for i in range(arr.n) if i != ell_index]
+    params = frame_params(ell, [arr.lines[i] for i in keep])
+    scale = frame_scale(ell)
+    e_plus, e_minus = [], []
+    for p, q in combinations(params, 2):
+        dy = p.y - q.y
+        sy = exact_sign(dy)
+        if sy == 0:
+            continue
+        dx = p.x - q.x
+        if exact_sign(scale * dx * dx - 2 * area * abs(dy)) == 0:
+            edge = (keep[p.index], keep[q.index])
+            (e_plus if exact_sign(dx) == sy else e_minus).append(edge)
+    return [keep[p.index] for p in params], e_plus, e_minus
+
+
+def assert_gell_graphs_match(arr, lines=None, areas=None):
+    """build_gell_graphs equals the oracle, edge for edge and in order, for
+    the largest, the smallest and the most frequent area."""
+    cen = census(arr)
+    if areas is None:
+        if cen.max_area is None:
+            return
+        common = max(cen.area_counts.items(), key=lambda item: item[1])[0]
+        areas = {cen.max_area, cen.min_area, common}
+    for area in areas:
+        for idx in range(arr.n) if lines is None else lines:
+            gg = build_gell_graphs(arr, idx, max_area=area)
+            assert (gg.vertices, gg.e_plus, gg.e_minus) == oracle_gell_graphs(arr, idx, area)
+
+
+def _lines(draw, n, coeff):
+    lines = []
+    for _ in range(n):
+        a, b, c = draw(coeff), draw(coeff), draw(coeff)
+        if a or b:
+            lines.append(Line(a, b, c))
+    return Arrangement(dict.fromkeys(lines))
+
+
+@st.composite
+def integer_arrangements(draw):
+    # small coefficients stay inside the int64 gate; the wide range reaches
+    # past 2^62, where the products are Python ints far beyond int64
+    big = 2**62 + draw(st.integers(0, 2**64))
+    coeff = draw(st.sampled_from([st.integers(-9, 9), st.integers(-big, big)]))
+    return _lines(draw, draw(st.integers(3, 9)), coeff)
+
+
+@st.composite
+def moved_grids(draw):
+    # parallel families, and concurrent points in trigrid, with the lines
+    # shuffled and translated off the constructions' own order and origin
+    grid = draw(st.sampled_from([hexgrid, trigrid]))
+    lines = draw(st.permutations(grid(draw(st.integers(3, 14))).lines))
+    shift = st.fractions(-5, 5, max_denominator=6)
+    return Arrangement(lines).transform(AffineMap.translation(draw(shift), draw(shift)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(integer_arrangements(), moved_grids()))
+def test_gell_graphs_match_frame_oracle(arr):
+    assume(arr.n >= 3)
+    assert_gell_graphs_match(arr)
+
+
+@pytest.mark.parametrize("build", [pentagon, lambda: max_chain(1)], ids=["pentagon", "max_chain_1"])
+def test_gell_graphs_match_frame_oracle_towers(build):
+    assert_gell_graphs_match(build())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gell_graphs_match_frame_oracle_st_extremal(k):
+    arr, ell = st_extremal(k)
+    ref = arr.lines.index(ell)
+    # the reference line carries k^4 unit-area triangles
+    gg = build_gell_graphs(arr, ref, max_area=Fraction(1))
+    assert gg.edge_total >= k**4
+    lines = [ref, 0, arr.n // 2] if k == 3 else None
+    assert_gell_graphs_match(arr, lines=lines, areas={Fraction(1), census(arr).max_area})
 
 
 VERIFY_CASES = [

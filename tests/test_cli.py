@@ -226,6 +226,25 @@ def test_max_chain_outputs_pinned(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MAX_CHAIN_1_CENSUS_SHA256
 
 
+# sha256 of `verify bounds --json` on `generate max-chain -k 1` and on
+# `generate random-general -n 30 --seed 1` (no parallel pair), recorded while
+# the edge graphs still came from per-pair frame parameters
+VERIFY_BOUNDS_SHA256 = {
+    ("max-chain", "-k", "1"): "f15d4e07a7a1c0264f08dcdf0c9310934a92a1e2ea37eb3581f24f1df3733995",
+    ("random-general", "-n", "30", "--seed", "1"): "2e574eb733cdf40fb43cff49574719c82eefe3ade73ada968d17418f892fe63e",
+}
+
+
+@pytest.mark.parametrize("construction", VERIFY_BOUNDS_SHA256, ids=lambda c: c[0])
+def test_verify_bounds_outputs_pinned(construction, tmp_path, capsys):
+    path = tmp_path / "input.lines"
+    code, _, _ = run_cli(capsys, ["generate", *construction, "-o", str(path)])
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, ["verify", "bounds", "--json", str(path)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BOUNDS_SHA256[construction]
+
+
 def test_census_stdin(capsys, monkeypatch, pentagon_file):
     text = open(pentagon_file).read()
     code, out, _ = run_cli(

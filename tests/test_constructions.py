@@ -1,6 +1,7 @@
 """Construction tests: grid formulas, pentagon census, incidence family,
 scaling, and random generators."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -159,3 +160,36 @@ def test_random_general_position_properties():
     cen = census(arr)
     assert cen.parallel_count == 0
     assert cen.concurrent_count == 0
+
+
+# sha256 of to_text(), recorded with the pairwise Fraction concurrency test
+# that the integer vertex arrays replaced; the bounds beyond 2^62 run the
+# Python-int path, and the tight ones reject many concurrent candidates
+GENERAL_POSITION_SHA256 = [
+    ((12, 0), {}, "59bed4b9cb7883702c88fcb0c6445bfad48ddabe793ea5eac5683eff272248a9"),
+    ((30, 1), {}, "c139818e926b22c24ee661876d6332f2d8c823aa68c3b2c92cf75eba54b3909d"),
+    ((60, 2), {}, "30f14a962cf6a4f40056635ab66426aae2c3d96ddcd94be81b4fe75f8aafe91d"),
+    ((100, 0), {}, "f486649c9628af9127d4af1a8edebd2f92a6a12cad679f1e2a20dbf65c72c7fa"),
+    ((20, 4), {"coeff_bound": 5, "offset_bound": 6},
+     "41c046fa4a815e36c05e1e3d7e6131996e95a1720d3264cbc12859baec44412b"),
+    ((25, 7), {"coeff_bound": 10**12, "offset_bound": 10**15},
+     "83e27cdc0032a8e7d215a6d2725240837312c85ac67c527a5b7bf69c22e8fdb8"),
+    ((40, 3), {"coeff_bound": 2**40, "offset_bound": 3},
+     "6de2f183d463a909531f8a485c5df18e500fafface8bde5fe8d65d091c4afaca"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,bounds,digest",
+    GENERAL_POSITION_SHA256,
+    ids=[f"n{n}-seed{seed}" for (n, seed), _, _ in GENERAL_POSITION_SHA256],
+)
+def test_random_general_position_pinned(args, bounds, digest):
+    arr = random_general_position(*args, **bounds)
+    assert hashlib.sha256(arr.to_text().encode()).hexdigest() == digest
+
+
+def test_random_general_position_tight_bounds():
+    arr = random_general_position(20, seed=4, coeff_bound=5, offset_bound=6)
+    assert not arr.has_parallel_pair()
+    assert not arr.concurrent_triples()
