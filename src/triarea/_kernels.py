@@ -2,22 +2,24 @@
 
 Rational arrangements in canonical form have integer coefficients; when the
 coefficient magnitudes certify that every intermediate fits in int64 (see
-int64_safe), both run on machine integers.  The census is one vectorized
-numpy kernel over all C(n,3) triples in lexicographic i<j<k order, with
-the same formula as the exact path: area D^2 / (2*|w12*w13*w23|), D the
-coefficient determinant and w the pair weights from one n x n table;
-combo_index_arrays and combo_rank map between a rank in that order and
-its triple.  Facial triangles have one algorithm for every backend: sort
-the crossing points along each line (crossing_ranks_int64 here, the exact
-scalars' ``<`` in census.py) and keep the triples whose three sides join
-consecutive crossings (faces_from_ranks), O(n^2 log n) in all.  Exact
-arithmetic in census.py remains the fallback and the ground truth.
+int64_safe), both run on machine integers.  The census kernel is one
+vectorized numpy pass over the triples (i, j, k), j < k, of a run of
+(i, j) pairs, in lexicographic i<j<k order, with the same formula as the
+exact path: area D^2 / (2*|w12*w13*w23|), D the coefficient determinant
+and w the pair weights from one n x n table.  census.py calls it block by
+block, so its int64 temporaries are O(block) and not O(C(n,3)); called
+without pairs it covers all C(n,3) triples.  combo_index_arrays and
+combo_rank map between a rank in that order and its triple.  Facial
+triangles have one algorithm for every backend: sort the crossing points
+along each line (crossing_ranks_int64 here, the exact scalars' ``<`` in
+census.py) and keep the triples whose three sides join consecutive
+crossings (faces_from_ranks), O(n^2 log n) in all.  Exact arithmetic in
+census.py remains the fallback and the ground truth.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -57,13 +59,21 @@ def combo_index_arrays(n: int, ranks: np.ndarray | None = None) -> tuple[np.ndar
     # the triples (i, j, *) of one pair i<j are consecutive, the pairs come
     # in lexicographic order, and pair (i, j) has n-1-j of them
     i, j = np.triu_indices(n, k=1)
+    if ranks is None:
+        return pair_triples(n, i, j)
     sizes = n - 1 - j
     start = np.cumsum(sizes) - sizes
-    if ranks is None:
-        K = np.arange(comb(n, 3)) - np.repeat(start - j - 1, sizes)
-        return np.repeat(i, sizes), np.repeat(j, sizes), K
     pair = np.searchsorted(start, ranks, side="right") - 1
     return i[pair], j[pair], j[pair] + 1 + ranks - start[pair]
+
+
+def pair_triples(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (I, J, K) of the triples (i, j, k), j < k < n, of the
+    given pairs, pair by pair and k increasing."""
+    sizes = n - 1 - j
+    start = np.cumsum(sizes) - sizes
+    K = np.arange(int(sizes.sum())) - np.repeat(start - j - 1, sizes)
+    return np.repeat(i, sizes), np.repeat(j, sizes), K
 
 
 def combo_rank(n: int, i, j, k) -> np.ndarray:
@@ -82,28 +92,49 @@ def combo_rank(n: int, i, j, k) -> np.ndarray:
     return c3(n) - c3(n - i) + c2(n - i - 1) - c2(n - j) + (k - j - 1)
 
 
-def census_int64(coeffs: np.ndarray):
-    """Reduced (num, den) and status per triple, in lexicographic order: the
-    area D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights, with the
-    pair weights read from one n x n table."""
-    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    I, J, K = combo_index_arrays(len(coeffs))
-    weights = np.outer(a, b) - np.outer(b, a)  # w[p, q] = a_p*b_q - a_q*b_p
-    w12, w13, w23 = weights[I, J], weights[I, K], weights[J, K]
+def pair_weights(coeffs: np.ndarray) -> np.ndarray:
+    """The n x n table w[p, q] = a_p*b_q - a_q*b_p."""
+    a, b = coeffs[:, 0], coeffs[:, 1]
+    return np.outer(a, b) - np.outer(b, a)
+
+
+def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None = None,
+                 weights: np.ndarray | None = None):
+    """Reduced (num, den) and status per triple, in lexicographic order, of
+    the triples (i, j, k), j < k, of the given (i, j) pairs, or of all C(n,3)
+    triples when pairs is None: the area D^2 / (2*|w12*w13*w23|) of
+    arrangement.area_from_weights, with the pair weights read from the table
+    ``weights`` (pair_weights(coeffs) when not given)."""
+    n = len(coeffs)
+    if weights is None:
+        weights = pair_weights(coeffs)
+    i, j = np.triu_indices(n, k=1) if pairs is None else pairs
+    I, J, K = pair_triples(n, i, j)
+    c = coeffs[:, 2]
+    # w12 is constant along a pair's run; flat takes beat 2-D fancy indexing
+    flat = weights.ravel()
+    w12 = np.repeat(weights[i, j], n - 1 - j)
+    w13, w23 = flat.take(I * n + K), flat.take(J * n + K)
     d = c[I] * w23 - c[J] * w13 + c[K] * w12
-    num = d * d
-    den = 2 * np.abs(w12 * w13 * w23)
-    status = np.full(len(I), STATUS_PROPER, dtype=np.uint8)
-    par = (w12 == 0) | (w13 == 0) | (w23 == 0)
+    del I, J, K
+    den = w12 * w13
+    den *= w23
+    del w12, w13, w23
+    par = den == 0  # a pair of parallel lines has weight 0
+    conc = (d == 0) & ~par
+    status = np.full(len(d), STATUS_PROPER, dtype=np.uint8)
     status[par] = STATUS_PARALLEL
-    conc = (~par) & (d == 0)
     status[conc] = STATUS_CONCURRENT
     bad = par | conc
+    num = d * d
     num[bad] = 0
+    np.abs(den, out=den)
+    den *= 2
     den[bad] = 1
-    g = np.gcd(num, den)
-    g[g == 0] = 1
-    return num // g, den // g, status
+    g = np.gcd(num, den)  # at least 1: num and den are not both 0
+    num //= g
+    den //= g
+    return num, den, status
 
 
 def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:

@@ -11,7 +11,15 @@ with exact scalar arithmetic.  Both builders use one formula, the area
 D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights: the C(n,2) pair
 weights w are computed once, and each triple costs one coefficient
 determinant D and its square (for a tower arrangement the only arithmetic
-in the deep field, since a and b stay in the base field).  Counts, the
+in the deep field, since a and b stay in the base field).  The int64
+builder runs in blocks of about BLOCK_TRIPLES triples: each block's kernel
+output is grouped into classes (_group: a float64 key sort certified pair
+by pair, exact lexsort as the fallback) and its ids written into the
+table, then the blocks' classes are merged by the same grouping.  Memory
+is the 4-byte table plus one block plus O(classes); check_memory refuses,
+with CensusMemoryError, a table and block that do not fit, and once the
+first block shows the rate of new classes, classes that will not fit in
+the merge.  Counts, the
 memoised area ordering and its extremes, per-line counts, the triples of a
 given area, the bound checks and the colored triple system all read this
 one table.
@@ -22,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -46,6 +55,17 @@ UNIT_AREA = Fraction(1)
 CONCURRENT_ID = -1
 PARALLEL_ID = -2
 
+# triples per block of the int64 builder, and a bound on the bytes of one
+# block's temporaries per triple (kernel and grouping; tracemalloc measures
+# about 75 on random and grid blocks, doubled here for allocator slack)
+BLOCK_TRIPLES = 2**16
+BLOCK_BYTES_PER_TRIPLE = 128
+# a bound on the bytes per class entry of the blocks' merge: the entries'
+# buffer of (num, den, count) and _group's temporaries (on
+# random_arrangement(300), 4.4M entries: tracemalloc counts 86, which takes
+# the buffer's unwritten part as used, and the resident peak gives about 65)
+MERGE_BYTES_PER_CLASS = 96
+
 Triple = Tuple[int, int, int]
 
 
@@ -54,18 +74,20 @@ class AreaCensus:
     triangle count per class.  The int64 builder keeps the areas as reduced
     ``num``/``den`` arrays (None on the exact path) and builds ``areas`` when read."""
 
-    def __init__(self, n: int, class_ids: np.ndarray, backend: str, areas: Optional[List[Scalar]] = None,
+    def __init__(self, n: int, class_ids: np.ndarray, backend: str, tally: np.ndarray,
+                 areas: Optional[List[Scalar]] = None,
                  num: Optional[np.ndarray] = None, den: Optional[np.ndarray] = None) -> None:
+        """``tally`` is np.bincount(class_ids - PARALLEL_ID), as the builder
+        counted it: the parallel, then the concurrent, then each class's
+        count."""
         self.n = n
         self.class_ids = class_ids
         self.backend = backend
         self.num, self.den = num, den
         if areas is not None:
             self.areas = areas
-        classes = len(num if areas is None else areas)
-        self.class_counts: List[int] = np.bincount(class_ids[class_ids >= 0], minlength=classes).tolist()
-        self.concurrent_count = int(np.count_nonzero(class_ids == CONCURRENT_ID))
-        self.parallel_count = int(np.count_nonzero(class_ids == PARALLEL_ID))
+        self.parallel_count, self.concurrent_count = int(tally[0]), int(tally[1])
+        self.class_counts: List[int] = tally[2:].tolist()
 
     @cached_property
     def areas(self) -> List[Scalar]:
@@ -216,49 +238,188 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
     """Classify every triple once, in lexicographic i<j<k order.
 
     Both builders number the area classes by first appearance in that
-    order, so they produce identical tables.
+    order, so they produce identical tables.  Raises CensusMemoryError
+    (check_memory) before allocating when the table, and on the int64 path
+    one block, do not fit, and after the first block when the classes to
+    merge will not.
     """
     chosen = select_backend(arr, backend)
+    triples = comb(arr.n, 3)
     if chosen == "exact":
-        areas, class_ids = _classify_exact(arr)
-        return AreaCensus(arr.n, class_ids, chosen, areas=areas)
-    num, den, class_ids = _classify_int64(integer_coefficients(arr))
-    return AreaCensus(arr.n, class_ids, chosen, num=num, den=den)
+        check_memory(arr.n, 4 * triples, f"{triples} triples at 4 bytes each")
+        areas, class_ids, tally = _classify_exact(arr)
+        return AreaCensus(arr.n, class_ids, chosen, tally, areas=areas)
+    block = BLOCK_BYTES_PER_TRIPLE * min(triples, BLOCK_TRIPLES)
+    check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
+    num, den, class_ids, tally = _classify_int64(integer_coefficients(arr))
+    return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den)
 
 
-def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray]:
+class CensusMemoryError(ValueError):
+    """The census table of an arrangement does not fit in available memory."""
+
+
+def available_memory() -> Optional[int]:
+    """Bytes this process may still allocate: MemAvailable from
+    /proc/meminfo, lowered to memory.max - memory.current of its cgroup
+    (v2) when a limit is set; None when neither can be read.  The cgroup's
+    file page cache (active_file and inactive_file of memory.stat) counts
+    in memory.current but is reclaimed before the limit is hit, so it is
+    taken off the usage."""
+    found = []
+    try:
+        with open("/proc/meminfo") as f:
+            found += [int(line.split()[1]) * 1024 for line in f if line.startswith("MemAvailable:")]
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup") as f:
+            path = next(line[3:].strip() for line in f if line.startswith("0::"))
+        base = f"/sys/fs/cgroup{path.rstrip('/')}"
+        with open(f"{base}/memory.max") as f:
+            limit = f.read().strip()
+        if limit != "max":
+            with open(f"{base}/memory.current") as f:
+                used = int(f.read())
+            with open(f"{base}/memory.stat") as f:
+                stat = dict(line.split() for line in f)
+            used -= int(stat.get("active_file", 0)) + int(stat.get("inactive_file", 0))
+            found.append(int(limit) - used)
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(found) if found else None
+
+
+def check_memory(n: int, need: int, what: str) -> None:
+    """Refuse, with CensusMemoryError, a census of n lines whose next
+    allocations (``need`` bytes, spelled out by ``what``) exceed
+    available_memory()."""
+    have = available_memory()
+    if have is not None and need > have:
+        raise CensusMemoryError(
+            f"census of n={n} lines needs {need} bytes ({what}), but only {have} bytes are available"
+        )
+
+
+def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray, np.ndarray]:
     # the C(n,2) pair weights once, then one coefficient determinant per triple
     c = [_peel(line.c) for line in arr.lines]
     w = {(i, j): pair_weight(li, lj) for (i, li), (j, lj) in combinations(enumerate(arr.lines), 2)}
     class_of: Dict[Scalar, int] = {}
-    ids = []
-    for i, j, k in combinations(range(arr.n), 3):
+    class_ids = np.empty(comb(arr.n, 3), dtype=np.int32)
+    tally = [0, 0]  # the parallel, the concurrent, then each class's count
+    for rank, (i, j, k) in enumerate(combinations(range(arr.n), 3)):
         area, status = area_from_weights(c[i], c[j], c[k], w[i, j], w[i, k], w[j, k])
-        if status == PROPER:
-            ids.append(class_of.setdefault(area, len(class_of)))
-        else:
-            ids.append(CONCURRENT_ID if status == CONCURRENT else PARALLEL_ID)
-    return list(class_of), np.array(ids, dtype=np.int32)
+        if status != PROPER:
+            cid = CONCURRENT_ID if status == CONCURRENT else PARALLEL_ID
+        elif (cid := class_of.get(area)) is None:
+            cid = class_of[area] = len(class_of)
+            tally.append(0)
+        class_ids[rank] = cid
+        tally[cid - PARALLEL_ID] += 1
+    return list(class_of), class_ids, np.array(tally, dtype=np.int64)
 
 
-def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    num, den, status = _kernels.census_int64(coeffs)
-    class_ids = np.full(len(status), PARALLEL_ID, dtype=np.int32)
-    class_ids[status == _kernels.STATUS_CONCURRENT] = CONCURRENT_ID
-    proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
-    num, den = num[proper], den[proper]
-    # group equal (num, den) pairs; the stable sort keeps each group's
-    # triples in triple order, so a group's first entry is its first appearance
-    order = np.lexsort((den, num))
-    num, den = num[order], den[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (num[1:] != num[:-1]) | (den[1:] != den[:-1])
-    # renumber the classes by first appearance, as the exact builder does
-    by_first = np.argsort(order[new])
-    rank = np.empty(len(by_first), dtype=np.int32)
-    rank[by_first] = np.arange(len(by_first), dtype=np.int32)
-    class_ids[proper[order]] = rank[np.cumsum(new) - 1]
-    return num[new][by_first], den[new][by_first], class_ids
+def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # Blocks of consecutive (i, j) pairs holding about BLOCK_TRIPLES triples
+    # each: the kernel and the grouping of one block write its class ids
+    # straight into the table, so only the table is C(n,3)-sized.
+    n = len(coeffs)
+    class_ids = np.empty(comb(n, 3), dtype=np.int32)
+    weights = _kernels.pair_weights(coeffs)
+    i, j = np.triu_indices(n, k=1)
+    ends = np.cumsum(n - 1 - j)  # triples up to each pair's last
+    last = (ends - 1) // BLOCK_TRIPLES  # the block of each pair's last triple
+    pair_at = np.concatenate(([0], np.flatnonzero(last[1:] != last[:-1]) + 1, [len(i)]))
+    rank_at = np.concatenate(([0], ends))[pair_at]
+    merge = len(pair_at) > 2
+    # (num, den, count) of each block's classes by first appearance, in a
+    # buffer that doubles when full; ids in the table index it until the
+    # merge.  np.empty leaves the unwritten part of a buffer unmapped, so a
+    # doubling holds about twice the entries; a list of the blocks' arrays
+    # and one concatenate peaked 49 MB higher on random_arrangement(300).
+    classes = np.empty((3, min(len(class_ids), 4 * BLOCK_TRIPLES) if merge else 0), dtype=np.int64)
+    found = concurrent = 0
+    for p0, p1, t0, t1 in zip(pair_at[:-1], pair_at[1:], rank_at[:-1], rank_at[1:]):
+        num, den, status = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights)
+        block = class_ids[t0:t1]
+        block.fill(PARALLEL_ID)
+        conc = status == _kernels.STATUS_CONCURRENT
+        block[conc] = CONCURRENT_ID
+        concurrent += int(np.count_nonzero(conc))
+        proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
+        ids, first = _group(num[proper], den[proper])
+        block[proper] = ids + found if found else ids
+        first = proper[first]
+        num, den, count = num[first], den[first], np.bincount(ids, minlength=len(first))
+        if merge:
+            end = found + len(first)
+            if end > classes.shape[1]:
+                grown = np.empty((3, max(end, 2 * classes.shape[1])), dtype=np.int64)
+                grown[:, :found] = classes[:, :found]
+                classes = grown
+            classes[:, found:end] = num, den, count
+            found = end
+            if not t0:
+                # the first block's rate of new classes, over every triple,
+                # estimates the entries of the merge
+                rest = len(class_ids) - int(t1)
+                entries = found * len(class_ids) // int(t1)
+                check_memory(
+                    n, 4 * rest + MERGE_BYTES_PER_CLASS * entries,
+                    f"{rest} more triples at 4 bytes each, plus about {entries} classes "
+                    f"to merge at {MERGE_BYTES_PER_CLASS} bytes each",
+                )
+    if merge:
+        # in block order, a class's first entry in the buffer is its first
+        # appearance among all triples
+        merged, first = _group(classes[0, :found], classes[1, :found])
+        count = np.zeros(len(first), dtype=np.int64)
+        np.add.at(count, merged, classes[2, :found])
+        num, den = classes[0, first], classes[1, first]
+        del classes, first
+        # ids -1 and -2 index the last two entries of the lookup table
+        table = np.concatenate((merged, [PARALLEL_ID, CONCURRENT_ID])).astype(np.int32)
+        for t0 in range(0, len(class_ids), BLOCK_TRIPLES):
+            block = class_ids[t0:t0 + BLOCK_TRIPLES]
+            block[:] = table[block]
+    parallel = len(class_ids) - concurrent - int(count.sum())
+    return num, den, class_ids, np.concatenate(([parallel, concurrent], count))
+
+
+def _group(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group equal reduced (num, den) pairs: the class of each pair, classes
+    numbered by first appearance, and the index of each class's first pair.
+
+    Pairs are sorted by the float64 key num/den.  Equal pairs have equal
+    keys; adjacent equal keys are certified to hold equal pairs, and if some
+    do not (distinct ratios near 2^62 can round to one float) the pairs are
+    grouped exactly with np.lexsort instead."""
+    if not len(num):
+        return np.zeros(0, np.int32), np.zeros(0, np.int64)
+    key = num / den
+    order = np.argsort(key)
+    key = key[order]
+    new = key[1:] != key[:-1]
+    del key
+    a, b = order[:-1][~new], order[1:][~new]
+    if (num[a] != num[b]).any() or (den[a] != den[b]).any():
+        order = np.lexsort((den, num))
+        p, q = num[order], den[order]
+        new = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
+        del p, q
+    run = np.zeros(len(order), dtype=np.int32)  # the run of each sorted pair
+    np.cumsum(new, dtype=np.int32, out=run[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(np.concatenate(([True], new))))
+    # number the runs by first appearance without sorting: mark each run's
+    # first pair, and count the marks up to it
+    is_first = np.zeros(len(order), dtype=bool)
+    is_first[first] = True
+    rank = np.cumsum(is_first, dtype=np.int32)[first] - 1
+    del first
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[order] = rank[run]
+    return ids, np.flatnonzero(is_first)
 
 
 def triples_with_area(

@@ -1,7 +1,8 @@
 """Command-line interface: construction, census, verification, reports.
 
-Exit codes: 0 success, 1 a requested check failed, 2 parse or usage error,
-3 an interval comparison could not be decided at the configured precision.
+Exit codes: 0 success, 1 a requested check failed, 2 parse or usage error
+or a census too large for the available memory, 3 an interval comparison
+could not be decided at the configured precision.
 
 JSON reports follow the bundled schema (``triarea-report/1``).  They carry
 exact scalar strings, never floats, and contain no timing, so identical

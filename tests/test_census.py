@@ -1,21 +1,26 @@
 """Census tests against an independent brute-force oracle."""
 
+import importlib
+import io
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from triarea import _kernels
 from triarea.arrangement import AffineMap, Arrangement, Line, intersect
 from triarea.census import (
+    BLOCK_BYTES_PER_TRIPLE,
     PARALLEL_ID,
     UNIT_AREA,
     AreaCensus,
+    CensusMemoryError,
     census,
     facial_triangle_count,
     facial_triangles,
@@ -33,6 +38,8 @@ from triarea.constructions import (
     trigrid,
 )
 from triarea.scalars import QuadExt, exact_sign, format_scalar
+
+census_module = importlib.import_module("triarea.census")
 
 
 def oracle_census(arr):
@@ -198,10 +205,12 @@ FLOAT_KEY_TRAPS = [((2**53, 1), (2**53 + 1, 1)), ((19 * 2**53 + 48, 19), (16 * 2
 @pytest.mark.parametrize("flip", [False, True])
 def test_class_order_repairs_float_keys(small, large, flip):
     first, second = (large, small) if flip else (small, large)
+    ids = np.array([0, 1, PARALLEL_ID, 1], dtype=np.int32)  # class 1 has two triples
     cen = AreaCensus(
         4,
-        np.array([0, 1, PARALLEL_ID, 1], dtype=np.int32),  # class 1 has two triples
+        ids,
         "numpy",
+        np.bincount(ids - PARALLEL_ID),
         num=np.array([first[0], second[0]], dtype=np.int64),
         den=np.array([first[1], second[1]], dtype=np.int64),
     )
@@ -279,6 +288,215 @@ def test_table_builders_agree(arr):
         assert counts == [line_uses[i] for i in range(arr.n)]
         assert list(triples_with_area(arr, area, fast)) == want
         assert list(triples_with_area(arr, area, exact)) == want
+
+
+TABLE_FIELDS = ("class_ids", "num", "den", "class_counts", "concurrent_count", "parallel_count")
+
+
+def _block_census(arr, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "BLOCK_TRIPLES", block)
+        return census(arr, backend="numpy")
+
+
+def _assert_same_table(got, want):
+    for name in TABLE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def _assert_blocks_agree(arr, exact=True):
+    # blocks of 1, 5 and 64 triples against one block, and the exact builder
+    whole = _block_census(arr, comb(arr.n, 3) + 1)
+    for block in (1, 5, 64):
+        _assert_same_table(_block_census(arr, block), whole)
+    if exact:
+        ref = census(arr, backend="exact")
+        assert np.array_equal(whole.class_ids, ref.class_ids)
+        assert whole.areas == ref.areas
+        for name in TABLE_FIELDS[3:]:
+            assert getattr(whole, name) == getattr(ref, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(near_gate_arrangements(), small_grids()))
+def test_block_builder_matches_exact_and_one_block(arr):
+    _assert_blocks_agree(arr)
+
+
+ALL_PARALLEL = [Line(1, 1, c) for c in range(6)]
+ALL_CONCURRENT = [Line(a, b, 0) for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[], ALL_PARALLEL[:1], ALL_PARALLEL[:2], [Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1)], ALL_PARALLEL, ALL_CONCURRENT],
+    ids=["n0", "n1", "n2", "n3", "all-parallel", "all-concurrent"],
+)
+def test_block_builder_small_and_degenerate(lines):
+    _assert_blocks_agree(Arrangement(lines))
+
+
+@pytest.mark.parametrize("grid, n", [(hexgrid, 12), (trigrid, 12), (hexgrid, 40), (trigrid, 45)])
+def test_block_builder_on_grids(grid, n):
+    _assert_blocks_agree(grid(n), exact=n <= 12)
+
+
+# classes whose float64 keys tie: 2^53 and 2^53 + 1
+TIE, TIE1 = (2**53, 1), (2**53 + 1, 1)
+
+
+@pytest.mark.parametrize(
+    "areas",
+    [
+        [TIE, TIE1, TIE1, TIE],  # a tie inside each block, and across the two
+        [TIE, (5, 1), TIE1, (5, 1)],  # a tie only across the blocks
+    ],
+)
+def test_group_certifies_float_ties(monkeypatch, areas):
+    # four lines have four triples; with blocks of two triples they fall in
+    # two blocks, and a stand-in kernel gives each triple its area above
+    arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1), Line(1, 2, 5)])
+
+    def kernel(coeffs, pairs, weights):
+        ranks = _kernels.combo_rank(len(coeffs), *_kernels.pair_triples(len(coeffs), *pairs))
+        num, den = np.array(areas, dtype=np.int64)[ranks].T
+        return num.copy(), den.copy(), np.full(len(ranks), _kernels.STATUS_PROPER, np.uint8)
+
+    monkeypatch.setattr(_kernels, "census_int64", kernel)
+    monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 2)
+    cen = census(arr, backend="numpy")
+    first = list(dict.fromkeys(areas))
+    assert cen.class_ids.tolist() == [first.index(a) for a in areas]
+    assert list(zip(cen.num.tolist(), cen.den.tolist())) == first
+    assert cen.class_counts == [areas.count(a) for a in first]
+    ids, firsts = census_module._group(*np.array(areas, dtype=np.int64).T)
+    assert ids.tolist() == [first.index(a) for a in areas]
+    assert firsts.tolist() == [areas.index(a) for a in first]
+
+
+@pytest.mark.parametrize("backend", ["numpy", "exact"])
+def test_memory_guard_refuses_before_allocating(monkeypatch, backend):
+    # the table at 4 bytes a triple, and on the int64 path one block of
+    # C(20,3) = 1140 triples
+    arr = hexgrid(20)
+    need = 4 * comb(20, 3) + (BLOCK_BYTES_PER_TRIPLE * comb(20, 3) if backend == "numpy" else 0)
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    monkeypatch.setattr(census_module, "_classify_int64", None)  # never reached
+    monkeypatch.setattr(census_module, "_classify_exact", None)
+    with pytest.raises(CensusMemoryError, match=f"n=20 .*needs {need} bytes.*only {need - 1} bytes") as exc:
+        census(arr, backend=backend)
+    assert isinstance(exc.value, ValueError)
+    monkeypatch.undo()
+    for have in (need, None):  # enough memory, or none readable
+        monkeypatch.setattr(census_module, "available_memory", lambda: have)
+        assert census(arr, backend=backend).total_triples == comb(20, 3)
+
+
+def test_memory_guard_checks_the_class_rate_after_the_first_block(monkeypatch):
+    # random lines give nearly every triple its own class: in blocks of 64
+    # triples the first block shows it, and the merge is then refused
+    arr = random_arrangement(20, seed=3)
+    monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 64)
+    checks = []
+
+    def have():
+        checks.append(len(checks))
+        return 10**9 if len(checks) == 1 else 4 * comb(20, 3)
+
+    monkeypatch.setattr(census_module, "available_memory", have)
+    with pytest.raises(CensusMemoryError, match="n=20 .*more triples at 4 bytes each, plus about .* classes to merge"):
+        census(arr, backend="numpy")
+    assert len(checks) == 2
+    # with room for the merge the census runs, checking once per census and
+    # once after the first block
+    checks.clear()
+    monkeypatch.setattr(census_module, "available_memory", lambda: checks.append(0) or 10**9)
+    assert census(arr, backend="numpy").distinct_count > 1000
+    assert len(checks) == 2
+
+
+def _fake_files(files):
+    def fake_open(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    return fake_open
+
+
+@pytest.mark.parametrize(
+    "files, want",
+    [
+        ({}, None),
+        ({"/proc/meminfo": "MemTotal: 8000 kB\nMemAvailable: 5000 kB\n"}, 5000 * 1024),
+        (
+            {
+                "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                "/proc/self/cgroup": "0::/jobs/one\n",
+                "/sys/fs/cgroup/jobs/one/memory.max": "4096000\n",
+                "/sys/fs/cgroup/jobs/one/memory.current": "1024000\n",
+                "/sys/fs/cgroup/jobs/one/memory.stat": "anon 900000\nfile 124000\n",
+            },
+            3072000,
+        ),
+        (
+            # at the limit, but mostly file page cache (shmem is not reclaimed)
+            {
+                "/proc/meminfo": "MemAvailable: 5000000 kB\n",
+                "/proc/self/cgroup": "0::/jobs/one\n",
+                "/sys/fs/cgroup/jobs/one/memory.max": "4096000\n",
+                "/sys/fs/cgroup/jobs/one/memory.current": "4096000\n",
+                "/sys/fs/cgroup/jobs/one/memory.stat": (
+                    "anon 1000000\nfile 3096000\nshmem 96000\nactive_file 1000000\ninactive_file 2000000\n"
+                ),
+            },
+            3000000,
+        ),
+        (
+            {
+                "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                "/proc/self/cgroup": "0::/\n",
+                "/sys/fs/cgroup/memory.max": "max\n",
+            },
+            5000 * 1024,
+        ),
+        (
+            {
+                "/proc/self/cgroup": "0::/\n",
+                "/sys/fs/cgroup/memory.max": "8192\n",
+                "/sys/fs/cgroup/memory.current": "4096",
+                "/sys/fs/cgroup/memory.stat": "anon 4096\n",
+            },
+            4096,
+        ),
+    ],
+    ids=["nothing", "meminfo", "cgroup-limit", "cgroup-page-cache", "cgroup-unlimited", "cgroup-only"],
+)
+def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, files, want):
+    monkeypatch.setattr(census_module, "open", _fake_files(files), raising=False)
+    assert census_module.available_memory() == want
+
+
+def test_memory_guard_admits_benchmark_sizes(monkeypatch):
+    # a 256 MB cgroup at its limit, 200 MB of it file page cache: the
+    # benchmark's censuses (the 5-line pentagon, 64 random lines, 150-line
+    # grids) still run, with their blocks' class rates
+    files = {
+        "/proc/meminfo": "MemAvailable: 8000000 kB\n",
+        "/proc/self/cgroup": "0::/box\n",
+        "/sys/fs/cgroup/box/memory.max": f"{256 << 20}\n",
+        "/sys/fs/cgroup/box/memory.current": f"{256 << 20}\n",
+        "/sys/fs/cgroup/box/memory.stat": f"anon {56 << 20}\nactive_file {50 << 20}\ninactive_file {150 << 20}\n",
+    }
+    fake_open = _fake_files(files)
+    monkeypatch.setattr(census_module, "open", fake_open, raising=False)
+    assert census_module.available_memory() == 200 << 20
+    for arr in (pentagon(), random_arrangement(64, seed=1), hexgrid(150), trigrid(150)):
+        assert census(arr).total_triples == comb(arr.n, 3)
 
 
 @st.composite

@@ -245,6 +245,43 @@ def test_verify_bounds_outputs_pinned(construction, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_BOUNDS_SHA256[construction]
 
 
+# sha256 of `census --json` and `census --facial --json` on generated grids
+# and a random arrangement, recorded while the census still ran in one piece
+CENSUS_SHA256 = {
+    ("hexgrid", "-n", "150"): (
+        "fc7f628510edb3d476f1b58c67ab6dbb65aab9ad813e4becd0cb57ecc09b6638",
+        "6211062828c597b16bdc5c70c639aea7b81c12ab3c8cde8da37d1ea59ea2bbfd",
+    ),
+    ("trigrid", "-n", "150"): (
+        "b0c4d74cb9b33d2e3edd249fbe6ba4299224dbd0c3623e629ab3883d9eaf90b6",
+        "f1adb04a0d9bdc1b3fbdf796350243efe4ff0b2149dd86ed0502dc3012068363",
+    ),
+    ("random", "-n", "64", "--seed", "1"): (
+        "8637da868d0dd2db6298dcd4bb5fa240ea5d41410affac2b4e34236584b93f0d",
+        "9dfd9e45aa0e44c6a17606d16e8fc613382a788570f9444540a0fb31f718e10c",
+    ),
+}
+
+
+@pytest.mark.parametrize("construction", CENSUS_SHA256, ids=lambda c: c[0])
+def test_census_outputs_pinned(construction, tmp_path, capsys):
+    path = tmp_path / "input.lines"
+    code, _, _ = run_cli(capsys, ["generate", *construction, "-o", str(path)])
+    assert code == EXIT_OK
+    for flags, want in zip(([], ["--facial"]), CENSUS_SHA256[construction]):
+        code, out, _ = run_cli(capsys, ["census", "--json", *flags, str(path)])
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_census_too_large_exits_two(pentagon_file, capsys, monkeypatch):
+    census_module = sys.modules["triarea.census"]
+    monkeypatch.setattr(census_module, "available_memory", lambda: 39)  # the table needs 40
+    code, out, err = run_cli(capsys, ["census", "--json", pentagon_file])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith("error: census of n=5 lines needs 40 bytes") and "only 39 bytes are available" in err
+
+
 def test_census_stdin(capsys, monkeypatch, pentagon_file):
     text = open(pentagon_file).read()
     code, out, _ = run_cli(

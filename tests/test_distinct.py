@@ -139,7 +139,7 @@ def test_pair_color_violations_cap():
     ids = np.zeros(len(I), dtype=np.int32)
     ids[~hot] = 1 + np.arange(np.count_nonzero(~hot))
     areas = [Fraction(c + 1) for c in range(1 + np.count_nonzero(~hot))]
-    sys = ColoredTripleSystem(AreaCensus(n, ids, "exact", areas=areas))
+    sys = ColoredTripleSystem(AreaCensus(n, ids, "exact", np.bincount(ids + 2), areas=areas))
     hits = sys.pair_color_violations(cap=21)
     assert (0, 1, Fraction(1), 22) in hits
     assert sys.pair_color_violations(cap=23) == []
@@ -158,7 +158,7 @@ def test_pair_color_violations_cap():
         assert got == want
     # degenerate triples never count toward the cap
     dead = np.full(len(I), -1, dtype=np.int32)
-    assert ColoredTripleSystem(AreaCensus(n, dead, "exact", areas=[])).pair_color_violations(cap=1) == []
+    assert ColoredTripleSystem(AreaCensus(n, dead, "exact", np.bincount(dead + 2, minlength=2), areas=[])).pair_color_violations(cap=1) == []
 
 
 def test_dedupe_slopes():
