@@ -25,6 +25,7 @@ from .scalars import (
     QuadExt,
     Scalar,
     ScalarSyntaxError,
+    _leaf_numerators,
     _one_like,
     _peel,
     _same_scalar,
@@ -58,23 +59,11 @@ class ArrangementParseError(ArrangementError):
     pass
 
 
-def _frac_leaves(x: Scalar) -> Iterator[Fraction]:
-    if isinstance(x, Fraction):
-        yield x
-    else:
-        yield from _frac_leaves(x.a)
-        yield from _frac_leaves(x.b)
-
-
 def _canonical_scale(values: Sequence[Scalar]) -> Fraction:
     """Positive rational multiplier clearing the leaves to content one."""
-    dens = [f.denominator for v in values for f in _frac_leaves(v)]
-    nums = [0]
-    big = lcm(*dens) if dens else 1
-    for v in values:
-        for f in _frac_leaves(v):
-            nums.append(abs(f.numerator * big // f.denominator))
-    g = gcd(*nums)
+    parts = [_leaf_numerators(v) for v in values]
+    big = lcm(*(d for _, d in parts))
+    g = gcd(*(gcd(*nums) * (big // d) for nums, d in parts))
     if g == 0:
         return Fraction(1)
     return Fraction(big, g)

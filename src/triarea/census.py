@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .arrangement import (
     frame_params,
     pair_weight,
 )
-from .scalars import Scalar, _peel, exact_sign, format_scalar, is_rational
+from .scalars import DEFAULT_PRECISION_BITS, Scalar, _bounds, _peel, exact_sign, format_scalar, is_rational
 
 UNIT_AREA = Fraction(1)
 
@@ -133,21 +133,35 @@ class AreaCensus:
     @cached_property
     def _order(self) -> np.ndarray:
         # class ids by increasing area
-        if self.num is None:  # Fraction and QuadExt compare exactly with their own `<`
-            return np.array(sorted(range(len(self.areas)), key=self.areas.__getitem__), dtype=np.int64)
-        # Sort by the float64 key num/den and certify each adjacent pair: with
-        # num, den < 2^62 a key is within 3*2^-53 of its ratio, relative, so a
-        # relative gap above 2^-49 proves the order, and closer pairs compare
-        # num_p*den_q < num_q*den_p exactly (distinct reduced ratios never tie).
-        key = self.num / self.den
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        close = np.flatnonzero(key[1:] - key[:-1] <= key[1:] * 2.0**-49)
-        p, q = self.num[order], self.den[order]
-        pairs = zip(*(x.tolist() for x in (p[close], q[close], p[close + 1], q[close + 1])))
-        if any(a * d > c * b for a, b, c, d in pairs):
-            order = order[sorted(range(len(order)), key=lambda t: Fraction(int(p[t]), int(q[t])))]
-        return order
+        if self.num is None:
+            # The key is the midpoint of each area's fixed-point enclosure,
+            # and disjoint enclosures prove a pair's order.
+            areas = self.areas
+            bits = DEFAULT_PRECISION_BITS
+            lo, hi = np.array([_bounds(a, bits) for a in areas], dtype=object).reshape(-1, 2).T
+            return _certified_order(
+                ((lo + hi) / (1 << bits + 1)).astype(float),
+                lambda part: hi[part[:-1]] < lo[part[1:]],
+                lambda p, q: areas[p] < areas[q],
+                areas.__getitem__,
+            )
+        # The key is num/den: with num, den < 2^62 it is within 3*2^-53 of the
+        # ratio, relative, so a relative gap above 2^-49 proves a pair's
+        # order; closer pairs compare num_p*den_q < num_q*den_p exactly
+        # (distinct reduced ratios never tie).
+        num, den = self.num, self.den
+        key = num / den
+
+        def separated(part: np.ndarray) -> np.ndarray:
+            k = key[part]
+            return k[1:] - k[:-1] > k[1:] * 2.0**-49
+
+        return _certified_order(
+            key,
+            separated,
+            lambda p, q: int(num[p]) * int(den[q]) < int(num[q]) * int(den[p]),
+            lambda c: Fraction(int(num[c]), int(den[c])),
+        )
 
     def sorted_items(self) -> List[Tuple[Scalar, int]]:
         """(area, count) pairs in increasing area order; the classes are
@@ -200,6 +214,29 @@ class AreaCensus:
             f"distinct={self.distinct_count}, concurrent={self.concurrent_count}, "
             f"parallel={self.parallel_count}, backend={self.backend!r})"
         )
+
+
+def _certified_order(
+    key: np.ndarray,
+    separated: Callable[[np.ndarray], np.ndarray],
+    less: Callable[[int, int], bool],
+    exact_key: Callable[[int], object],
+) -> np.ndarray:
+    """Indices 0..len(key)-1 in increasing order of distinct exact values.
+
+    A floating-point filter: sort by the approximate float ``key``, then
+    certify each adjacent pair, by ``separated(part)`` (a bool per adjacent
+    pair of a run of the order, True where the approximation proves it) or
+    else by the exact ``less(p, q)``; if some pair fails, sort again by
+    ``exact_key``.  Runs of BLOCK_TRIPLES pairs keep the temporaries small.
+    """
+    order = np.argsort(key, kind="stable")
+    for start in range(0, len(order) - 1, BLOCK_TRIPLES):
+        part = order[start : start + BLOCK_TRIPLES + 1]
+        for t in np.flatnonzero(~separated(part)).tolist():
+            if not less(int(part[t]), int(part[t + 1])):
+                return np.array(sorted(range(len(key)), key=exact_key), dtype=np.int64)
+    return order
 
 
 def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,9 +48,9 @@ from .scalars import (
     DEFAULT_PRECISION_BITS,
     QuadExt,
     Scalar,
+    _bounds,
     _peel,
     exact_sign,
-    interval_of,
     lift_to,
     sqrt_exact,
 )
@@ -59,9 +60,9 @@ class ChainError(RuntimeError):
     """Construction left its provable envelope (should not happen)."""
 
 
-def _weights(l1: Line, l2: Line, l3: Line) -> Optional[Tuple[Scalar, Scalar, Scalar]]:
+def _weights(l1: Line, l2: Line, l3: Line, weight=pair_weight) -> Optional[Tuple[Scalar, Scalar, Scalar]]:
     """Pair weights (w12, w13, w23), or None when two lines are parallel."""
-    w = (pair_weight(l1, l2), pair_weight(l1, l3), pair_weight(l2, l3))
+    w = (weight(l1, l2), weight(l1, l3), weight(l2, l3))
     return None if 0 in map(exact_sign, w) else w
 
 
@@ -279,8 +280,10 @@ class _Root:
     rad: Optional[Scalar]
 
     def value(self) -> Scalar:
-        if self.rad is None:
-            return self.alpha
+        return self.alpha if self.rad is None else self._surd
+
+    @cached_property
+    def _surd(self) -> QuadExt:
         return QuadExt(self.alpha, self.beta, self.rad)
 
 
@@ -309,11 +312,15 @@ def _roots_compare(r1: _Root, r2: _Root) -> int:
         return 0
     if r1.rad is not None and r2.rad is not None and _same_rad(r1.rad, r2.rad):
         return exact_sign(r1.value() - r2.value())
+    v1, v2 = r1.value(), r2.value()
     bits = DEFAULT_PRECISION_BITS
     while True:
-        c = interval_of(r1.value(), bits).compare(interval_of(r2.value(), bits))
-        if c is not None:
-            return c
+        lo1, hi1 = _bounds(v1, bits)
+        lo2, hi2 = _bounds(v2, bits)
+        if hi1 < lo2:
+            return -1
+        if hi2 < lo1:
+            return 1
         if bits >= 65536:
             raise ChainError("slide roots did not separate at maximum precision")
         bits *= 2
@@ -331,7 +338,7 @@ def _field_height(x: Scalar) -> int:
 
 
 def _slide_determinant(
-    fixed: Sequence[Line], moving: Sequence[Line], vx: Scalar, vy: Scalar
+    fixed: Sequence[Line], moving: Sequence[Line], vx: Scalar, vy: Scalar, weight=pair_weight
 ) -> Optional[Tuple[Scalar, Scalar, Scalar]]:
     """(D0, D1, W) of the triple (fixed lines first) as the moving lines
     translate by t*(vx, vy): twice its signed area is D(t)^2/W with
@@ -341,7 +348,7 @@ def _slide_determinant(
     stay put, and moves each offset linearly, c(t) = c - t*(a*vx + b*vy);
     the coefficient determinant is linear in the offsets."""
     lines = list(fixed) + list(moving)
-    w = _weights(*lines)
+    w = _weights(*lines, weight=weight)
     if w is None:
         return None
     rates = [Fraction(0)] * len(fixed) + [-(_peel(l.a) * vx + _peel(l.b) * vy) for l in moving]
@@ -356,21 +363,27 @@ def _contact_roots(d0: Scalar, d1: Scalar, den: Scalar, target: Scalar, field: S
 
     Each is the quadratic c2 t^2 + c1 t + c0 -+ target with (c0, c1, c2) =
     (d0^2, 2*d0*d1, d1^2)/den.  As c1^2 = 4*c0*c2, its discriminant is
-    +-4*c2*target, which stays in the field of the weights; it is lifted
-    before its squareness test, so that the test runs in the ambient field.
+    +-4*c2*target, which stays in the field of the weights.  Its square root
+    is sought there first; only when there is none does the squareness test
+    run on its lift into the ambient field, where the levels above may hold
+    a root (5 has none in Q, but one in Q(sqrt 5)).
     """
     def root(alpha: Scalar, beta: Scalar = Fraction(0), rad: Optional[Scalar] = None) -> _Root:
         return _Root(lift_to(alpha, field), beta if rad is None else lift_to(beta, field), rad)
 
-    c2 = d1 * d1 / den
-    c1 = 2 * d0 * d1 / den
+    over_den = 1 / den
+    c2 = d1 * d1 * over_den
+    c1 = 2 * d0 * d1 * over_den
     roots = []
     for sgn in (1, -1):
         disc = 4 * sgn * c2 * target
         if exact_sign(disc) < 0:
             continue
-        disc = lift_to(disc, field)
-        r = sqrt_exact(disc)
+        own = _peel(disc)
+        r = sqrt_exact(own)
+        disc = lift_to(own, field)
+        if r is None and _field_height(disc) > _field_height(own):
+            r = sqrt_exact(disc)
         if r is not None:
             roots += [root((-c1 + r) / (2 * c2)), root((-c1 - r) / (2 * c2))]
         else:
@@ -401,10 +414,18 @@ def _first_contact(
     target = 2 * max_area
     best: Optional[_Root] = None
     best_triple = None
+    weights = {}  # a slide keeps a and b, so each pair's weight holds throughout
+
+    def weight(l1: Line, l2: Line) -> Scalar:
+        w = weights.get((id(l1), id(l2)))
+        if w is None:
+            w = weights[id(l1), id(l2)] = pair_weight(l1, l2)
+        return w
+
     for (il, ik) in _cross_triples(len(lines_l), len(lines_k)):
         fixed = [lines_k[g] for g in ik]
         moving = [lines_l[i] for i in il]
-        slide = _slide_determinant(fixed, moving, vx, vy)
+        slide = _slide_determinant(fixed, moving, vx, vy, weight)
         if slide is None or not slide[1]:
             continue  # parallel pair, or rigid under this slide
         for root in _contact_roots(*slide, target, field):

@@ -12,10 +12,19 @@ Three kinds of scalars appear in arrangements:
   enclose the true value.  Intervals never guess: a comparison that the
   bounds cannot settle is reported as undecided rather than rounded.
 
-All equality and sign decisions are exact.  Intervals serve as a fast path
-for sign tests deep in a tower, with the algebraic fallback always available:
-:func:`interval_of` encloses a scalar in integer fixed-point bounds
-``lo/2^bits <= x <= hi/2^bits``, memoised per node and precision.
+A :class:`QuadExt` of a tower of height h stores one tuple of 2^h Python
+ints and one positive denominator: its coordinates on the products of the
+levels' square roots, each radicand cleared to integer coordinates first
+(see ``_Field``).  Ring operations recurse on the halves of these tuples
+with integer arithmetic only and take one gcd per result; ``a``, ``b`` and
+``rad`` are read off on demand, and ``Fraction`` leaves appear only where
+a caller asks for them or text is printed.
+
+All equality and sign decisions are exact.  Signs, floors and root
+comparisons first try integer fixed-point bounds ``lo <= x*2^bits <= hi``
+(:func:`_bounds`, memoised per element and precision), with the algebraic
+test as the fallback; :func:`interval_of` wraps the same bounds as a
+:class:`CertifiedInterval`.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
+from operator import add, mul, neg, sub
 from typing import Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -108,6 +118,229 @@ class CertifiedInterval:
         return float((self.lower + self.upper) / 2)
 
 
+class _Field:
+    """One level F = K(sqrt(rad)) of a radical tower over its base K.
+
+    Elements of a tower of height h are stored on the 2^h products of
+    s_k = sqrt(rho_k), one square root per level, where rho_k = rad_k * e_k^2
+    is the level's radicand cleared to integer coordinates by its
+    denominator e_k.  Products of integer coordinates then stay integers:
+    s_k^2 = rho_k.  Fields are shared: every element of one level points to
+    the object made once for its radicand (see _field_of).
+    """
+
+    __slots__ = ("rad", "below", "height", "size", "e", "rhos", "scales", "_m_memo", "_rad_key", "_rad_text")
+
+    def __init__(self, rad: Scalar, below: Optional["_Field"]) -> None:
+        self.rad = rad
+        self.below = below
+        if below is None:
+            self.e = rad.denominator
+            self.height = 1
+            self.rhos = (rad.numerator * rad.denominator,)
+            self.scales = (1, self.e)
+        else:
+            self.e = rad._d
+            self.height = below.height + 1
+            self.rhos = below.rhos + (_scale(rad._t, rad._d),)
+            # sqrt(rad_h) = s_h / e_h: coordinate i carries the e_k of the
+            # levels whose square root its basis product contains
+            self.scales = below.scales + _scale(below.scales, self.e)
+        self.size = 1 << self.height
+        self._m_memo: dict = {}
+        self._rad_key = self._rad_text = None
+
+    def monomials(self, bits: int) -> Tuple[tuple, tuple]:
+        """Integers lo[i] <= m_i * 2^bits <= hi[i] for the basis products
+        m_i, in coordinate order; all are positive."""
+        got = self._m_memo.get(bits)
+        if got is None:
+            sl, sh = _sqrt_bounds(self.rad, bits)
+            sl, sh = sl * self.e, sh * self.e
+            if self.below is None:
+                lo, hi = (1 << bits, sl), (1 << bits, sh)
+            else:
+                lo, hi = self.below.monomials(bits)
+                lo += tuple([v * sl >> bits for v in lo])
+                hi += tuple([-(-v * sh >> bits) for v in hi])
+            got = self._m_memo[bits] = (lo, hi)
+        return got
+
+    def rad_key(self):
+        if self._rad_key is None:
+            r = self.rad
+            self._rad_key = _value_key(r._t, r._d, r._f) if isinstance(r, QuadExt) else (r.numerator, r.denominator)
+        return self._rad_key
+
+    def rad_text(self) -> str:
+        if self._rad_text is None:
+            self._rad_text = format_scalar(self.rad)
+        return self._rad_text
+
+
+@lru_cache(maxsize=64)
+def _rational_field(rad: Fraction) -> _Field:
+    return _Field(rad, None)
+
+
+def _field_of(rad: Scalar) -> _Field:
+    """The field obtained by adjoining sqrt(rad) to the field of rad."""
+    if isinstance(rad, QuadExt):
+        f = getattr(rad, "_above", None)
+        if f is None:
+            f = rad._above = _Field(rad, rad._f)
+        return f
+    return _rational_field(_frac(rad))
+
+
+def _same_field(f: _Field, g: _Field) -> bool:
+    """Do f and g have structurally equal radicands at every level?  Only
+    then do their coordinates mean the same values."""
+    while f is not g:
+        if f.height != g.height:
+            return False
+        r, s = f.rad, g.rad
+        if f.below is None:
+            return r == s
+        if r._d != s._d or r._t != s._t:
+            return False
+        f, g = f.below, g.below
+    return True
+
+
+# -- integer coordinates ---------------------------------------------------
+#
+# An element of a height-h field is t/d: d a positive int and t a tuple of
+# 2^h ints, its coordinates on the products of the s_k.  The first half of
+# t is the part a in the field below, the second half the part b of
+# a + b*s_h, and so on down; a value of a lower level has a zero second
+# half, and a rational has t[0] only.  Each value has one (t, d) once
+# gcd(d, *t) = 1, so equality is tuple equality.  The functions below take
+# rhos, the cleared radicands of the levels (rhos[0] an int, rhos[k] the
+# coordinates of rho_(k+1)), and the height h of their arguments.
+
+
+def _scale(t: tuple, k: int) -> tuple:
+    return tuple([v * k for v in t])
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return tuple(map(add, x, y))
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    return tuple(map(sub, x, y))
+
+
+def _mul(x: tuple, y: tuple, rhos: tuple, h: int) -> tuple:
+    if h == 1:
+        a, b = x
+        c, d = y
+        return (a * c + b * d * rhos[0], a * d + b * c)
+    n = len(x) >> 1
+    h -= 1
+    a, b, c, d = x[:n], x[n:], y[:n], y[n:]
+    # (a + b s)(c + d s) = (ac + bd rho) + (ad + bc) s, skipping zero halves
+    if not any(b):
+        if not any(d):
+            return _mul(a, c, rhos, h) + b
+        return _mul(a, c, rhos, h) + _mul(a, d, rhos, h)
+    if not any(d):
+        return _mul(a, c, rhos, h) + _mul(b, c, rhos, h)
+    first = _add(_mul(a, c, rhos, h), _mul(_mul(b, d, rhos, h), rhos[h], rhos, h))
+    return first + _add(_mul(a, d, rhos, h), _mul(b, c, rhos, h))
+
+
+def _inverse(t: tuple, rhos: tuple, h: int) -> Tuple[tuple, int]:
+    """(u, m) with 1/t = u/m, m a positive int: multiply by the conjugate,
+    then invert the norm, which lies one level down."""
+    if not h:
+        v = t[0]
+        if not v:
+            raise ZeroDivisionError("division by zero in a quadratic extension")
+        return ((1,), v) if v > 0 else ((-1,), -v)
+    n = len(t) >> 1
+    a, b = t[:n], t[n:]
+    if not any(b):
+        u, m = _inverse(a, rhos, h - 1)
+        return u + b, m
+    if h == 1:
+        u, m = _inverse((a[0] * a[0] - b[0] * b[0] * rhos[0],), rhos, 0)
+        return (a[0] * u[0], -b[0] * u[0]), m
+    h -= 1
+    u, m = _inverse(_sub(_mul(a, a, rhos, h), _mul(_mul(b, b, rhos, h), rhos[h], rhos, h)), rhos, h)
+    return _mul(a, u, rhos, h) + tuple(map(neg, _mul(b, u, rhos, h))), m
+
+
+def _make(t: tuple, d: int, f: _Field) -> "QuadExt":
+    x = object.__new__(QuadExt)
+    x._t, x._d, x._f = t, d, f
+    x._sign_memo = x._bounds_memo = None
+    return x
+
+
+def _reduced(t: tuple, d: int, f: _Field) -> "QuadExt":
+    """The element t/d of f, with the common factor of t and d taken out."""
+    if d != 1:
+        g = gcd(d, *t)
+        if g != 1:
+            t, d = tuple([v // g for v in t]), d // g
+    return _make(t, d, f)
+
+
+def _peeled(t: tuple, d: int, f: _Field) -> Tuple[tuple, int, Optional[_Field]]:
+    """t/d reduced, with the zero second halves (zero tower layers) taken
+    off; the field comes back None when the value is rational."""
+    g = gcd(d, *t)
+    if g != 1:
+        t, d = tuple([v // g for v in t]), d // g
+    n = len(t) >> 1
+    while n and not any(t[n:]):
+        t, f, n = t[:n], f.below, n >> 1
+    return t, d, f
+
+
+def _value_key(t: tuple, d: int, f: _Field):
+    """A key of the value t/d that all its representations share: (n, d)
+    for a rational, else the keys of a, b and the radicand."""
+    t, d, f = _peeled(t, d, f)
+    if f is None:
+        return t[0], d
+    n = len(t) >> 1
+    return (_value_key(t[:n], d, f.below), _value_key(_scale(t[n:], f.e), d, f.below), f.rad_key())
+
+
+def _element(t: tuple, d: int, f: Optional[_Field]) -> Scalar:
+    """t/d as a Fraction when f is None (the rationals), else in f."""
+    if f is None:
+        return Fraction(t[0], d)
+    return _reduced(t, d, f)
+
+
+def _below(x, f: Optional[_Field]) -> Optional[Tuple[tuple, int]]:
+    """The subfield fast path: (coordinates, den) of x in field f (None:
+    the rationals) when x is rational or an element of a field of f's
+    tower, its coordinates padded with zeros; None otherwise."""
+    if isinstance(x, QuadExt):
+        g = x._f
+        if g is f:
+            return x._t, x._d
+        if f is None or g.height > f.height:
+            return None
+        size = f.size
+        while f.height > g.height:
+            f = f.below
+        if not _same_field(f, g):
+            return None
+        return x._t + (0,) * (size - g.size), x._d
+    size = 1 if f is None else f.size
+    if type(x) is int:
+        return (x,) + (0,) * (size - 1), 1
+    if isinstance(x, Fraction):
+        return (x.numerator,) + (0,) * (size - 1), x.denominator
+    return None
+
+
 class QuadExt:
     """Exact element ``a + b*sqrt(rad)`` of a quadratic extension.
 
@@ -115,40 +348,62 @@ class QuadExt:
     values at level one, or ``QuadExt`` values one level down in a radical
     tower.  ``rad`` must be positive and must not be a square in the base
     field (callers building towers check this with :func:`sqrt_exact`).
-    Representation is unique, so equality and hashing are componentwise.
 
-    Arithmetic with a rational, or with an element of the components' field
-    (a lower tower height), works on ``a`` and ``b`` directly; only operands
-    from the same level or a collapsed representation go through lifting.
+    An element is stored as integer coordinates over one positive
+    denominator (see _Field for the basis); ``a`` and ``b`` are read off
+    them.  Arithmetic with a rational, or with an element of a field lower
+    in the same tower, pads that operand's coordinates with zeros; only
+    operands from another representation of the field go through lifting.
     """
 
-    __slots__ = ("a", "b", "rad", "height", "_sign_memo", "_bounds_memo", "_sqrt_memo")
+    __slots__ = ("_t", "_d", "_f", "_sign_memo", "_bounds_memo", "_above", "_hash")
 
     def __init__(self, a, b, rad) -> None:
-        self.a = _frac(a) if isinstance(a, int) else a
-        self.b = _frac(b) if isinstance(b, int) else b
-        self.rad = _frac(rad) if isinstance(rad, int) else rad
-        # number of square roots along the radicand chain
-        self.height = rad.height + 1 if isinstance(rad, QuadExt) else 1
-        self._sign_memo: Optional[int] = None
-        self._bounds_memo = self._sqrt_memo = None
+        f = _field_of(rad)
+        below = f.below
+        (ta, da), (tb, db) = (self._component(v, below, f.rad) for v in (a, b))
+        # a + b*sqrt(rad) = ta/da + tb*s/(db*e)
+        db *= f.e
+        d = da * db // gcd(da, db)
+        x = _reduced(_scale(ta, d // da) + _scale(tb, d // db), d, f)
+        self._t, self._d, self._f = x._t, x._d, f
+        self._sign_memo = self._bounds_memo = None
+
+    @staticmethod
+    def _component(v, below: Optional[_Field], rad: Scalar) -> Tuple[tuple, int]:
+        if below is None:
+            v = _peel(v)
+            if isinstance(v, QuadExt):
+                raise ValueError("component outside the base field")
+            return _below(v, None)
+        got = _below(v, below)
+        if got is None:
+            v = lift_to(v, rad)
+            got = v._t, v._d
+        return got
+
+    @property
+    def rad(self) -> Scalar:
+        return self._f.rad
+
+    @property
+    def height(self) -> int:
+        """Number of square roots along the radicand chain."""
+        return self._f.height
+
+    @property
+    def a(self) -> Scalar:
+        t = self._t
+        return _element(t[: len(t) >> 1], self._d, self._f.below)
+
+    @property
+    def b(self) -> Scalar:
+        t = self._t
+        return _element(_scale(t[len(t) >> 1 :], self._f.e), self._d, self._f.below)
 
     # -- helpers -------------------------------------------------------
 
-    def _below(self, other) -> bool:
-        """Is other a rational or an element of the field of a and b?"""
-        if not isinstance(other, QuadExt):
-            return isinstance(other, (int, Fraction))
-        return (
-            other.height < self.height
-            and isinstance(self.a, QuadExt)
-            and other.rad is not self.rad
-            and not rad_equal(other.rad, self.rad)
-        )
-
     def _coerce(self, other: "QuadExt"):
-        if other.rad is self.rad or _same_scalar(other.rad, self.rad):
-            return other
         if isinstance(self.rad, Fraction) and isinstance(other.rad, Fraction):
             raise ValueError("mixed radicands in quadratic arithmetic")
         try:
@@ -158,96 +413,90 @@ class QuadExt:
             return NotImplemented
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.rad)
+        t = self._t
+        n = len(t) >> 1
+        return _make(t[:n] + tuple(map(neg, t[n:])), self._d, self._f)
 
-    def _pair(self, other):
-        """Both operands in a common field, lifting one side if needed; None
-        when other is not a scalar of a compatible field."""
+    def _operands(self, other):
+        """(field, x coordinates, x den, y coordinates, y den) with x = self
+        and y = other in one field; None when other is not a scalar of a
+        compatible field.  Raises ValueError for two different level-one
+        radicands."""
+        f = self._f
+        got = _below(other, f)
+        if got is not None:
+            return f, self._t, self._d, got[0], got[1]
         if not isinstance(other, QuadExt):
             return None
+        got = _below(self, other._f)
+        if got is not None:
+            return other._f, got[0], got[1], other._t, other._d
+        # another representation of a common field: lift one side
         o = self._coerce(other)
         if o is not NotImplemented:
-            return self, o
+            return o._f, self._t, self._d, o._t, o._d
         s = other._coerce(self)
         if s is not NotImplemented:
-            return s, other
+            return s._f, s._t, s._d, other._t, other._d
         return None
 
     # -- ring operations ----------------------------------------------
 
-    # Each operation first tries the subfield fast path in both directions
-    # (_below), which gives the same tree as lifting the lower operand would.
-
-    def __add__(self, other):
-        if self._below(other):
-            return QuadExt(self.a + other, self.b, self.rad)
-        if isinstance(other, QuadExt) and other._below(self):
-            return QuadExt(self + other.a, other.b, other.rad)
-        p = self._pair(other)
+    def _linear(self, other, op):
+        p = self._operands(other)
         if p is None:
             return NotImplemented
-        x, y = p
-        return QuadExt(x.a + y.a, x.b + y.b, x.rad)
+        f, x, dx, y, dy = p
+        if dx == dy:
+            return _reduced(op(x, y), dx, f)
+        d = dx * dy // gcd(dx, dy)
+        return _reduced(op(_scale(x, d // dx), _scale(y, d // dy)), d, f)
+
+    def __add__(self, other):
+        return self._linear(other, _add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.rad)
+        return _make(tuple(map(neg, self._t)), self._d, self._f)
 
     def __sub__(self, other):
-        if self._below(other):
-            return QuadExt(self.a - other, self.b, self.rad)
-        if isinstance(other, QuadExt) and other._below(self):
-            return QuadExt(self - other.a, -other.b, other.rad)
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        x, y = p
-        return QuadExt(x.a - y.a, x.b - y.b, x.rad)
+        return self._linear(other, _sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if self._below(other):
-            return QuadExt(self.a * other, self.b * other, self.rad)
-        if isinstance(other, QuadExt) and other._below(self):
-            return QuadExt(self * other.a, self * other.b, other.rad)
-        p = self._pair(other)
+        if not isinstance(other, QuadExt) and isinstance(other, (int, Fraction)):
+            return _reduced(_scale(self._t, other.numerator), self._d * other.denominator, self._f)
+        p = self._operands(other)
         if p is None:
             return NotImplemented
-        x, y = p
-        return QuadExt(
-            x.a * y.a + x.b * y.b * x.rad,
-            x.a * y.b + x.b * y.a,
-            x.rad,
-        )
+        f, x, dx, y, dy = p
+        return _reduced(_mul(x, y, f.rhos, f.height), dx * dy, f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if self._below(other):
-            return QuadExt(self.a / other, self.b / other, self.rad)
-        if isinstance(other, QuadExt) and other._below(self):
-            return _divide_below(self, other)
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        x, y = p
-        norm = y.a * y.a - y.b * y.b * y.rad
-        return QuadExt(
-            (x.a * y.a - x.b * y.b * x.rad) / norm,
-            (x.b * y.a - x.a * y.b) / norm,
-            x.rad,
-        )
+        if not isinstance(other, QuadExt) and isinstance(other, (int, Fraction)):
+            n, q = other.numerator, other.denominator
+            if not n:
+                raise ZeroDivisionError("division by zero in a quadratic extension")
+            return _reduced(_scale(self._t, q if n > 0 else -q), self._d * abs(n), self._f)
+        p = self._operands(other)
+        return NotImplemented if p is None else _quotient(*p)
 
     def __rtruediv__(self, other):
-        return _divide_below(other, self) if self._below(other) else NotImplemented
+        p = self._operands(other)
+        if p is None:
+            return NotImplemented
+        f, y, dy, x, dx = p
+        return _quotient(f, x, dx, y, dy)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = QuadExt(_lift_like(Fraction(1), self.a), _zero_like(self.a), self.rad)
+        out = _one_like(self)
         base = self
         while n:
             if n & 1:
@@ -260,17 +509,21 @@ class QuadExt:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not (is_rational(other) or isinstance(other, QuadExt)):
+        if isinstance(other, QuadExt):
+            if other._f is self._f:
+                return self._d == other._d and self._t == other._t
+        elif isinstance(other, int):
+            other = Fraction(other)
+        elif not isinstance(other, Fraction):
             return NotImplemented
-        x, y = _peel(self), _peel(_frac(other) if isinstance(other, int) else other)
+        x, y = _peel(self), _peel(other)
         if isinstance(x, Fraction) and isinstance(y, Fraction):
             return x == y
-        if (
-            isinstance(x, QuadExt)
-            and isinstance(y, QuadExt)
-            and rad_equal(x.rad, y.rad)
-        ):
-            return x.a == y.a and x.b == y.b
+        if isinstance(x, QuadExt) and isinstance(y, QuadExt):
+            if _same_field(x._f, y._f):
+                return x._d == y._d and x._t == y._t
+            if rad_equal(x.rad, y.rad):
+                return x.a == y.a and x.b == y.b
         return False
 
     def __ne__(self, other) -> bool:
@@ -278,9 +531,13 @@ class QuadExt:
         return NotImplemented if r is NotImplemented else not r
 
     def __hash__(self) -> int:
-        if _is_zero(self.b):
-            return hash(self.a)
-        return hash((self.a, self.b, _rad_key(self.rad)))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            # by value, so that equal values in other representations of the
+            # field hash alike, and a rational value like its Fraction
+            key = _value_key(self._t, self._d, self._f)
+            h = self._hash = hash(Fraction(*key) if type(key[0]) is int else key)
+        return h
 
     def sign(self) -> int:
         if self._sign_memo is None:
@@ -288,8 +545,7 @@ class QuadExt:
         return self._sign_memo
 
     def __lt__(self, other):
-        d = self - other
-        return exact_sign(d) < 0
+        return exact_sign(self - other) < 0
 
     def __le__(self, other):
         return exact_sign(self - other) <= 0
@@ -304,7 +560,7 @@ class QuadExt:
         return -self if self.sign() < 0 else self
 
     def __bool__(self) -> bool:
-        return not (_is_zero(self.a) and _is_zero(self.b))
+        return any(self._t)
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r}, {self.rad!r})"
@@ -313,32 +569,29 @@ class QuadExt:
         return format_scalar(self)
 
     def __float__(self) -> float:
-        return interval_of(self, 80).midpoint_float()
+        lo, hi = _bounds(self, 80)
+        return (lo + hi) / (1 << 81)
 
 
-def _divide_below(x: Scalar, y: QuadExt) -> QuadExt:
-    """x / y for x rational or in the field of y's components."""
-    norm = y.a * y.a - y.b * y.b * y.rad
-    return QuadExt(x * y.a / norm, -(x * y.b) / norm, y.rad)
+def _quotient(f: _Field, x: tuple, dx: int, y: tuple, dy: int) -> QuadExt:
+    """(x/dx) / (y/dy) in field f."""
+    u, n = _inverse(y, f.rhos, f.height)
+    return _reduced(_scale(_mul(x, u, f.rhos, f.height), dy), dx * n, f)
 
 
 def _zero_like(template: Scalar) -> Scalar:
-    if isinstance(template, Fraction):
-        return Fraction(0)
-    return QuadExt(_zero_like(template.a), _zero_like(template.a), template.rad)
+    return _lift_like(Fraction(0), template)
 
 
 def _one_like(template: Scalar) -> Scalar:
-    if isinstance(template, Fraction):
-        return Fraction(1)
-    return QuadExt(_lift_like(Fraction(1), template.a), _zero_like(template.a), template.rad)
+    return _lift_like(Fraction(1), template)
 
 
 def _lift_like(x: Fraction, template: Scalar) -> Scalar:
     """Embed the rational x into the field the template lives in."""
     if isinstance(template, Fraction):
         return x
-    return QuadExt(_lift_like(x, template.a), _zero_like(template.a), template.rad)
+    return _make((x.numerator,) + (0,) * (template._f.size - 1), x.denominator, template._f)
 
 
 def lift_to(x: Scalar, template: Scalar) -> Scalar:
@@ -347,7 +600,10 @@ def lift_to(x: Scalar, template: Scalar) -> Scalar:
         if not isinstance(x, Fraction):
             raise ValueError("cannot lower a surd into the rationals")
         return x
-    if isinstance(x, QuadExt) and rad_equal(x.rad, template.rad):
+    got = _below(x, template._f)
+    if got is not None:
+        return _make(got[0], got[1], template._f)
+    if rad_equal(x.rad, template.rad):
         return QuadExt(lift_to(x.a, template.a), lift_to(x.b, template.a), template.rad)
     return QuadExt(lift_to(x, template.a), _zero_like(template.a), template.rad)
 
@@ -376,28 +632,35 @@ def field_join(x: Scalar, y: Scalar) -> Tuple[Scalar, Scalar]:
     return lifted_x, lifted_y
 
 
+def _leaf_numerators(x: Scalar) -> Tuple[tuple, int]:
+    """The rationals of x's a/b tree at every level (its leaves), as
+    numerators over one shared denominator."""
+    if isinstance(x, Fraction):
+        return (x.numerator,), x.denominator
+    return tuple(map(mul, x._t, x._f.scales)), x._d
+
+
 def _is_zero(x: Scalar) -> bool:
     if isinstance(x, Fraction):
         return x == 0
-    return _is_zero(x.a) and _is_zero(x.b)
+    return not any(x._t)
 
 
 def _peel(x: Scalar) -> Scalar:
     """Strip tower layers whose surd component is zero."""
-    while isinstance(x, QuadExt) and _is_zero(x.b):
-        x = x.a
-    return x
+    if not isinstance(x, QuadExt):
+        return x
+    t, d, f = _peeled(x._t, x._d, x._f)
+    if f is x._f:
+        return x
+    return _element(t, d, f)
 
 
 def _same_scalar(x: Scalar, y: Scalar) -> bool:
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x == y
     if isinstance(x, QuadExt) and isinstance(y, QuadExt):
-        return (
-            _same_scalar(x.rad, y.rad)
-            and _same_scalar(x.a, y.a)
-            and _same_scalar(x.b, y.b)
-        )
+        return _same_field(x._f, y._f) and x._d == y._d and x._t == y._t
     return False
 
 
@@ -414,29 +677,26 @@ def rad_equal(x: Scalar, y: Scalar) -> bool:
     return isinstance(x, QuadExt) and isinstance(y, QuadExt) and x == y
 
 
-def _rad_key(rad: Scalar):
-    rad = _peel(rad)
-    if isinstance(rad, Fraction):
-        return rad
-    return (_rad_key(rad.rad), rad.a, rad.b)
-
-
 def exact_sign(x: Scalar) -> int:
     """Exact sign (-1, 0, +1) of any scalar."""
-    if isinstance(x, Fraction):
-        return (x.numerator > 0) - (x.numerator < 0)
+    if isinstance(x, QuadExt):
+        return x.sign()
     if isinstance(x, int):
         return (x > 0) - (x < 0)
-    return x.sign()
+    return (x.numerator > 0) - (x.numerator < 0)
 
 
 def _quadext_sign(x: QuadExt) -> int:
-    # Interval fast path: decides every nonzero value at some precision,
-    # cheap for the common case deep in a tower.
+    # Fixed-point bounds decide every nonzero value at some precision, cheap
+    # for the common case deep in a tower; the algebraic test is the fallback.
+    if not any(x._t):
+        return 0
     for bits in (DEFAULT_PRECISION_BITS, 3 * DEFAULT_PRECISION_BITS):
-        s = interval_of(x, bits).sign_or_none()
-        if s is not None:
-            return s
+        lo, hi = _bounds(x, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
     sa = exact_sign(x.a)
     sb = exact_sign(x.b)
     if sb == 0:
@@ -458,8 +718,8 @@ def interval_of(x: Scalar, bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInter
 def _bounds(x: Scalar, bits: int) -> Tuple[int, int]:
     """Integers lo, hi with lo <= x * 2^bits <= hi.
 
-    Each tower node keeps its bounds per precision: nodes are immutable, so
-    a radicand shared by many elements is enclosed once.
+    A tower element encloses its integer coordinates and divides by its
+    denominator once; each element keeps its bounds per precision.
     """
     if not isinstance(x, QuadExt):
         n, d = (x, 1) if isinstance(x, int) else (x.numerator, x.denominator)
@@ -469,26 +729,32 @@ def _bounds(x: Scalar, bits: int) -> Tuple[int, int]:
         memo = x._bounds_memo = {}
     got = memo.get(bits)
     if got is None:
-        al, ah = _bounds(x.a, bits)
-        bl, bh = _bounds(x.b, bits)
-        sl, sh = _sqrt_bounds(x.rad, bits)
-        ends = (bl * sl, bl * sh, bh * sl, bh * sh)
-        got = memo[bits] = (al + (min(ends) >> bits), ah - (-max(ends) >> bits))
+        lo, hi = _coordinate_bounds(x._t, x._f, bits)
+        d = x._d
+        got = memo[bits] = (lo // d, -(-hi // d))
     return got
+
+
+def _coordinate_bounds(t: tuple, f: _Field, bits: int) -> Tuple[int, int]:
+    """Integers lo, hi with lo <= v * 2^bits <= hi, v the value of the
+    coordinates t in field f."""
+    lo = hi = 0
+    for v, ml, mh in zip(t, *f.monomials(bits)):
+        if v > 0:
+            lo += v * ml
+            hi += v * mh
+        elif v:
+            lo += v * mh
+            hi += v * ml
+    return lo, hi
 
 
 def _sqrt_bounds(r: Scalar, bits: int) -> Tuple[int, int]:
     """Integers lo, hi with lo <= sqrt(r) * 2^bits <= hi, for a radicand r > 0."""
     if not isinstance(r, QuadExt):
         return _rational_sqrt_bounds(r.numerator, r.denominator, bits)
-    memo = r._sqrt_memo
-    if memo is None:
-        memo = r._sqrt_memo = {}
-    got = memo.get(bits)
-    if got is None:
-        lo, hi = _bounds(r, bits)
-        got = memo[bits] = _isqrt_bounds(max(lo, 0) << bits, hi << bits)
-    return got
+    lo, hi = _bounds(r, bits)
+    return _isqrt_bounds(max(lo, 0) << bits, hi << bits)
 
 
 @lru_cache(maxsize=256)
@@ -544,8 +810,7 @@ def scalar_floor(x: Scalar) -> int:
     """Exact floor of any scalar."""
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    iv = interval_of(x, DEFAULT_PRECISION_BITS)
-    m = iv.lower.numerator // iv.lower.denominator
+    m = _bounds(x, DEFAULT_PRECISION_BITS)[0] >> DEFAULT_PRECISION_BITS
     while exact_sign(x - (m + 1)) >= 0:
         m += 1
     while exact_sign(x - m) < 0:
@@ -565,19 +830,33 @@ def format_scalar(x: Scalar) -> str:
     Zero tower layers are peeled first so that every value has exactly one
     spelling regardless of which field it was computed in.
     """
-    x = _peel(x)
-    if isinstance(x, Fraction):
+    if not isinstance(x, QuadExt):
         return str(x)
-    if isinstance(x.a, Fraction):  # level one: p/q+r/s*sqrt(d)
-        if x.a == 0:
-            head = "-" if x.b < 0 else ""
+    return _format(x._t, x._d, x._f)
+
+
+def _format(t: tuple, d: int, f: _Field) -> str:
+    t, d, f = _peeled(t, d, f)
+    if f is None:
+        return _ratio_text(t[0], d)
+    if f.below is None:  # level one: p/q+r/s*sqrt(d)
+        a, b = t[0], t[1] * f.e
+        if a:
+            head = _ratio_text(a, d) + ("+" if b >= 0 else "-")
         else:
-            head = f"{x.a}+" if x.b >= 0 else f"{x.a}-"
-        return f"{head}{abs(x.b)}*sqrt({format_scalar(x.rad)})"
+            head = "-" if b < 0 else ""
+        return f"{head}{_ratio_text(abs(b), d)}*sqrt({f.rad_text()})"
+    n = len(t) >> 1
     return (
-        f"({format_scalar(x.a)})+({format_scalar(x.b)})"
-        f"*sqrt({format_scalar(x.rad)})"
+        f"({_format(t[:n], d, f.below)})+({_format(_scale(t[n:], f.e), d, f.below)})"
+        f"*sqrt({f.rad_text()})"
     )
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) without building the Fraction."""
+    g = gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
 
 
 class _Parser:

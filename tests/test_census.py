@@ -37,7 +37,7 @@ from triarea.constructions import (
     st_extremal,
     trigrid,
 )
-from triarea.scalars import QuadExt, exact_sign, format_scalar
+from triarea.scalars import DEFAULT_PRECISION_BITS, QuadExt, _bounds, exact_sign, format_scalar
 
 census_module = importlib.import_module("triarea.census")
 
@@ -219,6 +219,26 @@ def test_class_order_repairs_float_keys(small, large, flip):
     assert (cen.min_area, cen.max_area) == (lo, hi)
     assert cen.sorted_items() == [(lo, 1 + flip), (hi, 2 - flip)]
     assert cen.formatted_items() == [(str(lo), 1 + flip), (str(hi), 2 - flip)]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_tower_class_order_repairs_close_keys(flip):
+    # sqrt 5 and the dyadic rational 2^-100 above it: their fixed-point
+    # enclosures overlap and their float keys do not order them, so only the
+    # exact comparison does; listed larger first, the sort must be redone
+    root5 = QuadExt(Fraction(0), Fraction(1), Fraction(5))
+    above = QuadExt(Fraction(isqrt(5 << 200) + 1, 1 << 100), Fraction(0), Fraction(5))
+    assert root5 < above
+    bits = DEFAULT_PRECISION_BITS
+    (lo_r, hi_r), (lo_a, hi_a) = _bounds(root5, bits), _bounds(above, bits)
+    assert lo_a <= hi_r and lo_r <= hi_a
+    assert (lo_a + hi_a) / 2 ** (bits + 1) <= (lo_r + hi_r) / 2 ** (bits + 1)
+    first, second = (root5, above) if flip else (above, root5)
+    ids = np.array([0, 1, PARALLEL_ID, 1], dtype=np.int32)  # class 1 has two triples
+    cen = AreaCensus(4, ids, "exact", np.bincount(ids - PARALLEL_ID), areas=[first, second])
+    assert (cen.min_area, cen.max_area) == (root5, above)
+    assert cen.sorted_items() == [(root5, 2 - flip), (above, 1 + flip)]
+    assert cen.formatted_items() == [(format_scalar(root5), 2 - flip), (format_scalar(above), 1 + flip)]
 
 
 def test_census_rejects_small():

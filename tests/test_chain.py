@@ -209,11 +209,11 @@ def test_precision_env_sets_first_root_comparison():
     code = (
         "from fractions import Fraction as F\n"
         "import triarea.chain as c\n"
-        "bits, interval_of = [], c.interval_of\n"
+        "bits, bounds = [], c._bounds\n"
         "def recording(x, b):\n"
         "    bits.append(b)\n"
-        "    return interval_of(x, b)\n"
-        "c.interval_of = recording\n"
+        "    return bounds(x, b)\n"
+        "c._bounds = recording\n"
         "print(c._roots_compare(c._Root(F(0), F(1), F(2)), c._Root(F(0), F(1), F(3))), bits[0])\n"
     )
     env = dict(os.environ, TRIAREA_PRECISION_BITS="8")

@@ -135,11 +135,11 @@ class TestSign:
         code = (
             "from fractions import Fraction as F\n"
             "import triarea.scalars as s\n"
-            "bits, interval_of = [], s.interval_of\n"
-            "def recording(x, b=s.DEFAULT_PRECISION_BITS):\n"
+            "bits, bounds = [], s._bounds\n"
+            "def recording(x, b):\n"
             "    bits.append(b)\n"
-            "    return interval_of(x, b)\n"
-            "s.interval_of = recording\n"
+            "    return bounds(x, b)\n"
+            "s._bounds = recording\n"
             "s.exact_sign(s.QuadExt(F(9, 4), F(-1), F(5)))\n"
             "print(bits[0])\n"
         )
@@ -302,11 +302,11 @@ class TestFloor:
         code = (
             "from fractions import Fraction as F\n"
             "import triarea.scalars as s\n"
-            "bits, interval_of = [], s.interval_of\n"
-            "def recording(x, b=s.DEFAULT_PRECISION_BITS):\n"
+            "bits, bounds = [], s._bounds\n"
+            "def recording(x, b):\n"
             "    bits.append(b)\n"
-            "    return interval_of(x, b)\n"
-            "s.interval_of = recording\n"
+            "    return bounds(x, b)\n"
+            "s._bounds = recording\n"
             "print(s.scalar_floor(s.QuadExt(F(1, 3), F(7), F(2))), bits[0])\n"
         )
         env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
