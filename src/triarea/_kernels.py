@@ -80,7 +80,10 @@ def combo_rank(n: int, i, j, k) -> np.ndarray:
     """Lexicographic rank of each triple {i, j, k} among the C(n,3) triples
     i<j<k, the inverse of combo_index_arrays; the three columns may come in
     any order."""
-    i, j, k = np.sort(np.stack(np.broadcast_arrays(i, j, k)).astype(np.int64), axis=0)
+    i, j, k = (np.asarray(x, dtype=np.int64) for x in (i, j, k))
+    lo = np.minimum(np.minimum(i, j), k)
+    hi = np.maximum(np.maximum(i, j), k)
+    i, j, k = lo, i + j + k - lo - hi, hi
 
     def c2(m):
         return m * (m - 1) // 2

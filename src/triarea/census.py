@@ -260,15 +260,22 @@ def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
 def select_backend(arr: Arrangement, backend: str = "auto") -> str:
     """Resolve 'auto' to 'numpy' when the input passes the int64 gate, else
     to 'exact'."""
+    return _resolve_backend(arr, backend)[0]
+
+
+def _resolve_backend(arr: Arrangement, backend: str) -> Tuple[str, Optional[np.ndarray]]:
+    """select_backend, with the integer coefficient matrix it tested (None
+    on the exact path), so that callers build the matrix once."""
     if backend == "exact":
-        return "exact"
+        return "exact", None
     if backend not in ("auto", "numpy"):
         raise ValueError(f"unknown backend {backend!r}")
     coeffs = integer_coefficients(arr)
-    eligible = coeffs is not None and _kernels.int64_safe(coeffs)
-    if backend == "numpy" and not eligible:
+    if coeffs is not None and _kernels.int64_safe(coeffs):
+        return "numpy", coeffs
+    if backend == "numpy":
         raise ValueError("backend 'numpy' needs int64-safe integer input")
-    return "numpy" if eligible else "exact"
+    return "exact", None
 
 
 def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
@@ -280,7 +287,7 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
     one block, do not fit, and after the first block when the classes to
     merge will not.
     """
-    chosen = select_backend(arr, backend)
+    chosen, coeffs = _resolve_backend(arr, backend)
     triples = comb(arr.n, 3)
     if chosen == "exact":
         check_memory(arr.n, 4 * triples, f"{triples} triples at 4 bytes each")
@@ -288,7 +295,7 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
         return AreaCensus(arr.n, class_ids, chosen, tally, areas=areas)
     block = BLOCK_BYTES_PER_TRIPLE * min(triples, BLOCK_TRIPLES)
     check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
-    num, den, class_ids, tally = _classify_int64(integer_coefficients(arr))
+    num, den, class_ids, tally = _classify_int64(coeffs)
     return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den)
 
 
@@ -296,13 +303,24 @@ class CensusMemoryError(ValueError):
     """The census table of an arrangement does not fit in available memory."""
 
 
+# per cgroup version (v2, then v1): the memory controller's mount below
+# /sys/fs/cgroup, its limit and usage files, and the prefix of the page
+# cache entries in its memory.stat
+_CGROUP_FILES = (
+    ("", "memory.max", "memory.current", ""),
+    ("/memory", "memory.limit_in_bytes", "memory.usage_in_bytes", "total_"),
+)
+
+
 def available_memory() -> Optional[int]:
     """Bytes this process may still allocate: MemAvailable from
-    /proc/meminfo, lowered to memory.max - memory.current of its cgroup
-    (v2) when a limit is set; None when neither can be read.  The cgroup's
-    file page cache (active_file and inactive_file of memory.stat) counts
-    in memory.current but is reclaimed before the limit is hit, so it is
-    taken off the usage."""
+    /proc/meminfo, lowered to the free room of its cgroup when a limit is
+    set: memory.max - memory.current under cgroup v2, memory.limit_in_bytes
+    - memory.usage_in_bytes under v1.  The cgroup's file page cache
+    (active_file and inactive_file of memory.stat, total_active_file and
+    total_inactive_file under v1) counts in the usage but is reclaimed
+    before the limit is hit, so it is taken off.  None when nothing can be
+    read."""
     found = []
     try:
         with open("/proc/meminfo") as f:
@@ -311,19 +329,28 @@ def available_memory() -> Optional[int]:
         pass
     try:
         with open("/proc/self/cgroup") as f:
-            path = next(line[3:].strip() for line in f if line.startswith("0::"))
-        base = f"/sys/fs/cgroup{path.rstrip('/')}"
-        with open(f"{base}/memory.max") as f:
-            limit = f.read().strip()
-        if limit != "max":
-            with open(f"{base}/memory.current") as f:
+            groups = [line.strip().split(":", 2) for line in f]
+    except OSError:
+        groups = []
+    for group in groups:
+        # v2 lists its one hierarchy with no controllers, v1 names them
+        if len(group) != 3 or (group[1] and "memory" not in group[1].split(",")):
+            continue
+        mount, limit_file, usage_file, cache = _CGROUP_FILES[bool(group[1])]
+        base = f"/sys/fs/cgroup{mount}{group[2].rstrip('/')}"
+        try:
+            with open(f"{base}/{limit_file}") as f:
+                limit = f.read().strip()
+            if limit == "max":
+                continue
+            with open(f"{base}/{usage_file}") as f:
                 used = int(f.read())
             with open(f"{base}/memory.stat") as f:
                 stat = dict(line.split() for line in f)
-            used -= int(stat.get("active_file", 0)) + int(stat.get("inactive_file", 0))
+            used -= int(stat.get(f"{cache}active_file", 0)) + int(stat.get(f"{cache}inactive_file", 0))
             found.append(int(limit) - used)
-    except (OSError, ValueError, StopIteration):
-        pass
+        except (OSError, ValueError):
+            pass
     return min(found) if found else None
 
 
@@ -485,10 +512,11 @@ def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
     ranked on the int64 path when the gate allows, else with the scalars'
     exact ``<``; _kernels.faces_from_ranks keeps the triples whose sides
     join consecutive crossings."""
-    if select_backend(arr, backend) == "exact":
+    chosen, coeffs = _resolve_backend(arr, backend)
+    if chosen == "exact":
         faces = _kernels.faces_from_ranks(_crossing_ranks_exact(arr))
     else:
-        faces = _kernels.facial_int64(integer_coefficients(arr))
+        faces = _kernels.facial_int64(coeffs)
     return list(map(tuple, faces.tolist()))
 
 

@@ -3,6 +3,9 @@ distinct.
 
 The colored triple system is a view of the arrangement's census: the color
 of a triple is its area class id, read at the triple's lexicographic rank.
+One n x n table of pair offsets gives that rank: for a < b < c it is
+``base[a*n + b] + c``, one gather per triple with no sort, so the greedy
+loop and the subset checks read colors straight from sorted columns.
 Concurrent and parallel triples have negative ids, a reserved color that
 conflicts with everything, so extractors can never smuggle a degenerate
 triple into a "distinct" answer.  Every strategy validates its output
@@ -12,6 +15,7 @@ exhaustively before returning it.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +51,30 @@ class ColoredTripleSystem:
     def from_arrangement(cls, arr: Arrangement, backend: str = "auto") -> "ColoredTripleSystem":
         return cls(census(arr, backend))
 
-    def _ids(self, i, j, k) -> np.ndarray:
-        """Class ids of the triples {i, j, k}, columns in any order."""
-        return self.cen.class_ids[combo_rank(self.n, i, j, k)]
+    @cached_property
+    def _base(self) -> np.ndarray:
+        """Pair offsets, flat n x n: the rank of the triple a < b < c is
+        _base[a*n + b] + c."""
+        a, b = np.arange(self.n)[:, None], np.arange(self.n)
+        return (combo_rank(self.n, a, b, b + 1) - b - 1).ravel()
+
+    @cached_property
+    def _slot(self) -> np.ndarray:
+        """Scratch for _distinct: one entry per area class."""
+        return np.empty(self.cen.distinct_count, dtype=np.int64)
+
+    def _ids(self, a, b, c) -> np.ndarray:
+        """Class ids of the triples a < b < c, columns already sorted."""
+        return self.cen.class_ids[self._base[a * self.n + b] + c]
+
+    def _distinct(self, ids: np.ndarray) -> bool:
+        """Whether the class ids (none negative) are pairwise distinct, in
+        O(len(ids)): each id stamps its position into a scratch entry, and
+        a repeated id keeps only one of its positions, so another reads
+        back wrong."""
+        at = np.arange(len(ids))
+        self._slot[ids] = at
+        return bool((self._slot[ids] == at).all())
 
     def _subset_ids(self, subset: Sequence[int]) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
         """Class ids of the triples inside a set of lines, in lexicographic
@@ -64,7 +89,7 @@ class ColoredTripleSystem:
         """The exact area of triangle {i, j, k}, or DEGENERATE."""
         if len({i, j, k}) < 3 or min(i, j, k) < 0 or max(i, j, k) >= self.n:
             raise ValueError(f"({i}, {j}, {k}) are not three distinct lines of {self.n}")
-        c = int(self._ids(i, j, k))
+        c = int(self._ids(*sorted((i, j, k))))
         return DEGENERATE if c < 0 else self.cen.areas[c]
 
     def pair_color_violations(self, cap: int = 21) -> List[Tuple[int, int, Hashable, int]]:
@@ -88,7 +113,7 @@ def is_rainbow(sys: ColoredTripleSystem, subset: Sequence[int]) -> bool:
     """Exhaustive check: the triples inside the subset have distinct
     colors, none of them degenerate."""
     ids, _ = sys._subset_ids(subset)
-    return bool((ids >= 0).all()) and len(np.unique(ids)) == len(ids)
+    return bool((ids >= 0).all()) and sys._distinct(ids)
 
 
 def extract_rainbow(
@@ -123,19 +148,19 @@ def _greedy(sys: ColoredTripleSystem, rng: random.Random) -> List[int]:
     order = list(range(sys.n))
     rng.shuffle(order)
     chosen: List[int] = []
-    pi = pj = np.zeros(0, dtype=np.int64)  # the pairs of chosen lines
-    used = np.zeros(sys.cen.distinct_count, dtype=bool)
+    lo = hi = np.zeros(0, dtype=np.int64)  # the pairs lo < hi of chosen lines
+    # the degenerate ids -1 and -2 index the last two entries, always used
+    used = np.zeros(sys.cen.distinct_count + 2, dtype=bool)
+    used[-2:] = True
     for v in order:
-        ids = sys._ids(pi, pj, v)
+        ids = sys._ids(np.minimum(lo, v), np.maximum(lo, np.minimum(hi, v)), np.maximum(hi, v))
         # a degenerate id, a color already used, or two new triples alike
-        if (ids < 0).any() or used[ids].any():
-            continue
-        ids = np.sort(ids)
-        if (ids[1:] == ids[:-1]).any():
+        if used[ids].any() or not sys._distinct(ids):
             continue
         used[ids] = True
-        pi = np.concatenate([pi, np.asarray(chosen, dtype=np.int64)])
-        pj = np.concatenate([pj, np.full(len(chosen), v, dtype=np.int64)])
+        got = np.asarray(chosen, dtype=np.int64)
+        lo = np.concatenate([lo, np.minimum(got, v)])
+        hi = np.concatenate([hi, np.maximum(got, v)])
         chosen.append(v)
     return sorted(chosen)
 

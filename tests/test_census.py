@@ -186,6 +186,22 @@ def test_select_backend_irrational_falls_back_to_exact():
         census(pentagon(), backend="numpy")
 
 
+@pytest.mark.parametrize("backend", ["auto", "numpy", "exact"])
+def test_coefficient_matrix_built_once_per_call(monkeypatch, backend):
+    # the backend and the matrix are resolved in one step: one build per
+    # census and per facial test on the int64 path, none on the exact path
+    arr = hexgrid(8)
+    built = []
+    build = census_module.integer_coefficients
+    monkeypatch.setattr(census_module, "integer_coefficients", lambda a: built.append(0) or build(a))
+    want = 0 if backend == "exact" else 1
+    assert census(arr, backend).backend == ("exact" if backend == "exact" else "numpy")
+    assert len(built) == want
+    facial_triangles(arr, backend)
+    assert len(built) == 2 * want
+    assert select_backend(arr, backend) == ("exact" if backend == "exact" else "numpy")
+
+
 @pytest.mark.parametrize("backend", ["auto", "exact"])
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_fewer_than_three_lines(n, backend):
@@ -493,8 +509,63 @@ def _fake_files(files):
             },
             4096,
         ),
+        (
+            # cgroup v1: the memory controller's own line and mount
+            {
+                "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                "/proc/self/cgroup": "5:cpu,cpuacct:/other\n4:memory:/jobs/one\n1:name=systemd:/jobs\n",
+                "/sys/fs/cgroup/memory/jobs/one/memory.limit_in_bytes": "4096000\n",
+                "/sys/fs/cgroup/memory/jobs/one/memory.usage_in_bytes": "1024000\n",
+                "/sys/fs/cgroup/memory/jobs/one/memory.stat": "cache 124000\nrss 900000\n",
+            },
+            3072000,
+        ),
+        (
+            # v1 at the limit, mostly page cache: the hierarchical total_*
+            # entries count, the cgroup's own active_file does not
+            {
+                "/proc/meminfo": "MemAvailable: 5000000 kB\n",
+                "/proc/self/cgroup": "3:memory,hugetlb:/\n",
+                "/sys/fs/cgroup/memory/memory.limit_in_bytes": "4096000\n",
+                "/sys/fs/cgroup/memory/memory.usage_in_bytes": "4096000\n",
+                "/sys/fs/cgroup/memory/memory.stat": (
+                    "active_file 5\ninactive_file 7\ntotal_rss 1000000\n"
+                    "total_active_file 1000000\ntotal_inactive_file 2000000\n"
+                ),
+            },
+            3000000,
+        ),
+        (
+            # v1 with no limit set reports the largest page-aligned count
+            {
+                "/proc/meminfo": "MemAvailable: 5000 kB\n",
+                "/proc/self/cgroup": "4:memory:/\n",
+                "/sys/fs/cgroup/memory/memory.limit_in_bytes": "9223372036854771712\n",
+                "/sys/fs/cgroup/memory/memory.usage_in_bytes": "4096\n",
+                "/sys/fs/cgroup/memory/memory.stat": "total_rss 4096\n",
+            },
+            5000 * 1024,
+        ),
+        (
+            # a hybrid host: the v2 line has no memory controller files, v1 does
+            {
+                "/proc/self/cgroup": "4:memory:/box\n0::/box\n",
+                "/sys/fs/cgroup/memory/box/memory.limit_in_bytes": "8192\n",
+                "/sys/fs/cgroup/memory/box/memory.usage_in_bytes": "4096",
+                "/sys/fs/cgroup/memory/box/memory.stat": "total_rss 4096\n",
+            },
+            4096,
+        ),
+        (
+            # no memory controller among the v1 lines
+            {"/proc/meminfo": "MemAvailable: 5000 kB\n", "/proc/self/cgroup": "5:cpu,cpuacct:/\n"},
+            5000 * 1024,
+        ),
     ],
-    ids=["nothing", "meminfo", "cgroup-limit", "cgroup-page-cache", "cgroup-unlimited", "cgroup-only"],
+    ids=[
+        "nothing", "meminfo", "cgroup-limit", "cgroup-page-cache", "cgroup-unlimited", "cgroup-only",
+        "cgroup-v1-limit", "cgroup-v1-page-cache", "cgroup-v1-unlimited", "cgroup-hybrid", "cgroup-v1-no-memory",
+    ],
 )
 def test_available_memory_reads_meminfo_and_cgroup(monkeypatch, files, want):
     monkeypatch.setattr(census_module, "open", _fake_files(files), raising=False)

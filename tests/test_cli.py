@@ -274,6 +274,44 @@ def test_census_outputs_pinned(construction, tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+# sha256 of `extract-distinct --json` (greedy and sample-delete) and of
+# `verify bounds --json` on `generate random -n 60 --seed s`, recorded while
+# every color was read through combo_rank
+DISTINCT_SHA256 = {
+    1: (
+        "9cf0602c6f0ad8cb1214df4482f014e5fbcd7a034af1e4d0aea1b14ea2e9af1a",
+        "63bcc18b08fb6fcb80e6fd6d4593a2e6b25552d23a7a0ca0fc3c43e4aaae42c9",
+        "f77e63f3ca3c01289a44f7cf21ff580777c20d0ca0de182744007eb36dfd0ea8",
+    ),
+    2: (
+        "5de619e415051834bddf0e0cccba305ad8bf4621ca26e9609de37382192b1735",
+        "58e295942ecf99eedefe2fd12dbee9072f64a7db4cb88d3ab84a46935ab1bd21",
+        "d39e3e925627d162985b357f3d17ea2848cac2473fe38486d6b4e39efd9208ff",
+    ),
+    3: (
+        "b102080c04adad503eb4364fdf7a8bd7f37b13c43aba23ca192c3cd3e2a8d0f1",
+        "801c732953f1cd7ff275672a97bd82ee602ca2f9db7c276635e5c8f148fbb130",
+        "f0bfd03317b0c4626a4fe10b433c4c0fa7114381b5578f0304f11740520b7e1a",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", DISTINCT_SHA256)
+def test_extract_distinct_and_verify_bounds_pinned(seed, tmp_path, capsys):
+    path = str(tmp_path / "input.lines")
+    code, _, _ = run_cli(capsys, ["generate", "random", "-n", "60", "--seed", str(seed), "-o", path])
+    assert code == EXIT_OK
+    commands = (
+        ["extract-distinct", "--json", "--strategy", "greedy", "--seed", str(seed), path],
+        ["extract-distinct", "--json", "--strategy", "sample-delete", "--seed", str(seed), path],
+        ["verify", "bounds", "--json", path],
+    )
+    for argv, want in zip(commands, DISTINCT_SHA256[seed]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_census_too_large_exits_two(pentagon_file, capsys, monkeypatch):
     census_module = sys.modules["triarea.census"]
     monkeypatch.setattr(census_module, "available_memory", lambda: 39)  # the table needs 40

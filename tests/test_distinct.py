@@ -1,7 +1,10 @@
 """Tests for rainbow extraction against a brute-force optimum oracle."""
 
+import hashlib
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,10 +23,10 @@ from triarea import (
     random_arrangement,
     trigrid,
 )
-from triarea._kernels import combo_index_arrays
+from triarea._kernels import combo_index_arrays, combo_rank
 from triarea.arrangement import PROPER, triple_area
 from triarea.census import AreaCensus, census
-from triarea.distinct import DEGENERATE, _sample_delete
+from triarea.distinct import DEGENERATE, _greedy, _sample_delete
 
 
 def oracle_max_rainbow(sys):
@@ -274,3 +277,133 @@ def test_is_rainbow_matches_triple_area_oracle(data):
     subset = data.draw(st.lists(st.integers(0, max(arr.n - 1, 0)), max_size=arr.n, unique=True))
     sys = ColoredTripleSystem.from_arrangement(arr)
     assert is_rainbow(sys, subset) == _rainbow_oracle(arr, subset)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pair_offsets_give_every_rank(n):
+    # a census whose class id is each triple's own rank
+    m = comb(n, 3)
+    ids = np.arange(m, dtype=np.int32)
+    sys = ColoredTripleSystem(AreaCensus(n, ids, "exact", np.concatenate(([0, 0], np.ones(m, np.int64))), areas=list(range(m))))
+    I, J, K = combo_index_arrays(n)
+    ranks = sys._base[I * n + J] + K
+    assert np.array_equal(ranks, np.arange(m))
+    assert np.array_equal(sys._ids(I, J, K), ids)
+    for perm in permutations((I, J, K)):
+        assert np.array_equal(combo_rank(n, *perm), ranks)
+    for t in zip(I.tolist(), J.tolist(), K.tolist()):
+        for perm in permutations(t):
+            assert sys.color(*perm) == ranks[sys._base[t[0] * n + t[1]] + t[2]]
+    assert sys._base.nbytes == 8 * n * n
+
+
+def test_out_of_range_lines_raise():
+    sys = ColoredTripleSystem.from_arrangement(hexgrid(6))
+    for bad in [(0, 1, 6), (-1, 1, 2), (7, 0, 1), (2, 2, 3), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            sys.color(*bad)
+    for bad in ([6], [-1, 0, 1], [0, 1, 2, 99]):
+        with pytest.raises(ValueError):
+            is_rainbow(sys, bad)
+
+
+# The colored triple system before the pair-offset table, kept as the
+# oracle: every color is read through combo_rank, the greedy loop sorts its
+# ids, and distinctness is tested with np.unique.
+
+def _oracle_ids(sys, i, j, k):
+    return sys.cen.class_ids[combo_rank(sys.n, i, j, k)]
+
+
+def _oracle_subset_ids(sys, subset):
+    lines = np.unique(np.asarray(subset, dtype=np.int64))
+    if lines.size and (lines[0] < 0 or lines[-1] >= sys.n):
+        raise ValueError(f"line index out of range 0..{sys.n - 1}")
+    pos = combo_index_arrays(len(lines))
+    return _oracle_ids(sys, *(lines[p] for p in pos)), pos
+
+
+def oracle_is_rainbow(sys, subset):
+    ids, _ = _oracle_subset_ids(sys, subset)
+    return bool((ids >= 0).all()) and len(np.unique(ids)) == len(ids)
+
+
+def oracle_greedy(sys, rng):
+    order = list(range(sys.n))
+    rng.shuffle(order)
+    chosen = []
+    pi = pj = np.zeros(0, dtype=np.int64)
+    used = np.zeros(sys.cen.distinct_count, dtype=bool)
+    for v in order:
+        ids = _oracle_ids(sys, pi, pj, v)
+        if (ids < 0).any() or used[ids].any():
+            continue
+        ids = np.sort(ids)
+        if (ids[1:] == ids[:-1]).any():
+            continue
+        used[ids] = True
+        pi = np.concatenate([pi, np.asarray(chosen, dtype=np.int64)])
+        pj = np.concatenate([pj, np.full(len(chosen), v, dtype=np.int64)])
+        chosen.append(v)
+    return sorted(chosen)
+
+
+def oracle_sample_delete(sys, rng):
+    p = sys.n ** (-0.8)
+    current = [v for v in range(sys.n) if rng.random() < p]
+    while True:
+        ids, pos = _oracle_subset_ids(sys, current)
+        bad = np.ones(len(ids), dtype=bool)
+        bad[np.unique(ids, return_index=True)[1]] = False
+        bad |= ids < 0
+        offenders = np.bincount(np.concatenate([col[bad] for col in pos]), minlength=len(current))
+        if not offenders.any():
+            break
+        current.pop(len(current) - 1 - int(np.argmax(offenders[::-1])))
+    return current
+
+
+@st.composite
+def colored_systems(draw):
+    # small coefficients: many parallel pairs and concurrent triples, or,
+    # one line per direction, repeated areas with no parallel pair; grids:
+    # parallel families (and concurrent points in trigrid); generic lines
+    kind = draw(st.sampled_from(["small", "slopes", "grid", "random"]))
+    if kind in ("small", "slopes"):
+        coeff = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-2, 2))
+        rows = draw(st.lists(coeff.filter(lambda r: r[:2] != (0, 0)), max_size=14))
+        arr = Arrangement(dict.fromkeys(Line(*r) for r in rows))
+        if kind == "slopes":
+            arr = dedupe_slopes(arr)
+    elif kind == "grid":
+        arr = draw(st.sampled_from([hexgrid, trigrid]))(draw(st.integers(3, 14)))
+    else:
+        arr = random_arrangement(draw(st.integers(1, 16)), seed=draw(st.integers(0, 99)))
+    return ColoredTripleSystem.from_arrangement(arr)
+
+
+@settings(max_examples=120, deadline=None)
+@given(colored_systems(), st.integers(0, 2**32), st.data())
+def test_table_reads_match_the_combo_rank_oracle(sys, seed, data):
+    assert _greedy(sys, random.Random(seed)) == oracle_greedy(sys, random.Random(seed))
+    if sys.n:  # extract_rainbow refuses an empty system
+        assert _sample_delete(sys, random.Random(seed)) == oracle_sample_delete(sys, random.Random(seed))
+    # empty, one-line, and any subset
+    lines = st.integers(0, max(sys.n - 1, 0))
+    subsets = [[], [0]] if sys.n else [[]]
+    subsets.append(data.draw(st.lists(lines, max_size=sys.n, unique=True)))
+    for subset in subsets:
+        assert is_rainbow(sys, subset) == oracle_is_rainbow(sys, subset)
+    for t in combinations(range(min(sys.n, 7)), 3):
+        i, j, k = data.draw(st.permutations(t))
+        c = int(_oracle_ids(sys, i, j, k))
+        assert sys.color(i, j, k) == (DEGENERATE if c < 0 else sys.cen.areas[c])
+
+
+def test_greedy_on_200_lines_pinned():
+    # 142 of 200 lines, the subset recorded while every color went through
+    # combo_rank
+    sys = ColoredTripleSystem.from_arrangement(random_arrangement(200, seed=2))
+    got = extract_rainbow(sys, strategy="greedy", seed=0)
+    assert len(got) == 142
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == "6d856d4ff15b408f5becf6408500186981bf9ab78d28f85d47107ce789a37fb6"
