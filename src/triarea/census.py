@@ -15,11 +15,11 @@ in the deep field, since a and b stay in the base field).  The int64
 builder runs in blocks of about BLOCK_TRIPLES triples: each block's kernel
 output is grouped into classes (_group: a float64 key sort certified pair
 by pair, exact lexsort as the fallback) and its ids written into the
-table, then the blocks' classes are merged by the same grouping.  Memory
-is the 4-byte table plus one block plus O(classes); check_memory refuses,
-with CensusMemoryError, a table and block that do not fit, and once the
-first block shows the rate of new classes, classes that will not fit in
-the merge.  Counts, the
+table, then the blocks' classes are merged by the same grouping, whose
+sort is kept as the class order.  Memory is the 4-byte table plus one
+block plus O(classes); check_memory refuses, with CensusMemoryError, a
+table and block that do not fit, and once the first block shows the rate
+of new classes, classes that will not fit in the merge.  Counts, the
 memoised area ordering and its extremes, per-line counts, the triples of a
 given area, the bound checks and the colored triple system all read this
 one table.
@@ -47,7 +47,7 @@ from .arrangement import (
     frame_params,
     pair_weight,
 )
-from .scalars import DEFAULT_PRECISION_BITS, Scalar, _bounds, _peel, exact_sign, format_scalar, is_rational
+from .scalars import DEFAULT_PRECISION_BITS, Scalar, _bounds, _peel, exact_sign, is_rational
 
 UNIT_AREA = Fraction(1)
 
@@ -60,11 +60,12 @@ PARALLEL_ID = -2
 # about 75 on random and grid blocks, doubled here for allocator slack)
 BLOCK_TRIPLES = 2**16
 BLOCK_BYTES_PER_TRIPLE = 128
-# a bound on the bytes per class entry of the blocks' merge: the entries'
-# buffer of (num, den, count) and _group's temporaries (on
-# random_arrangement(300), 4.4M entries: tracemalloc counts 86, which takes
-# the buffer's unwritten part as used, and the resident peak gives about 65)
-MERGE_BYTES_PER_CLASS = 96
+# a bound on the bytes per class entry of the blocks' merge (the (num, den,
+# count) buffer, _group's temporaries and the int32 class order the census
+# keeps: on random_arrangement(300), 4.4M entries, tracemalloc counts 75 with
+# the buffer's unwritten part, the resident peak about 67), plus 16 for that
+# order and the float64 key its first read adds to the census (12.2 measured)
+MERGE_BYTES_PER_CLASS = 96 + 16
 
 Triple = Tuple[int, int, int]
 
@@ -76,14 +77,15 @@ class AreaCensus:
 
     def __init__(self, n: int, class_ids: np.ndarray, backend: str, tally: np.ndarray,
                  areas: Optional[List[Scalar]] = None,
-                 num: Optional[np.ndarray] = None, den: Optional[np.ndarray] = None) -> None:
+                 num: Optional[np.ndarray] = None, den: Optional[np.ndarray] = None,
+                 order: Optional[np.ndarray] = None) -> None:
         """``tally`` is np.bincount(class_ids - PARALLEL_ID), as the builder
         counted it: the parallel, then the concurrent, then each class's
-        count."""
+        count.  ``order`` lists the classes by increasing num/den if known."""
         self.n = n
         self.class_ids = class_ids
         self.backend = backend
-        self.num, self.den = num, den
+        self.num, self.den, self._key_order = num, den, order
         if areas is not None:
             self.areas = areas
         self.parallel_count, self.concurrent_count = int(tally[0]), int(tally[1])
@@ -161,23 +163,13 @@ class AreaCensus:
             separated,
             lambda p, q: int(num[p]) * int(den[q]) < int(num[q]) * int(den[p]),
             lambda c: Fraction(int(num[c]), int(den[c])),
+            self._key_order,
         )
 
     def sorted_items(self) -> List[Tuple[Scalar, int]]:
         """(area, count) pairs in increasing area order; the classes are
         sorted once."""
         return [(self.areas[c], self.class_counts[c]) for c in self._order.tolist()]
-
-    def formatted_items(self) -> List[Tuple[str, int]]:
-        """sorted_items with each area spelled by format_scalar; on the
-        int64 path the same strings come straight from (num, den)."""
-        order = self._order.tolist()
-        if self.num is None:
-            texts = [format_scalar(self.areas[c]) for c in order]
-        else:
-            ratios = zip(self.num[order].tolist(), self.den[order].tolist())
-            texts = [f"{p}/{q}" if q != 1 else f"{p}" for p, q in ratios]
-        return list(zip(texts, [self.class_counts[c] for c in order]))
 
     def _extreme(self, want_max: bool) -> Optional[Scalar]:
         if not self.distinct_count:
@@ -221,16 +213,19 @@ def _certified_order(
     separated: Callable[[np.ndarray], np.ndarray],
     less: Callable[[int, int], bool],
     exact_key: Callable[[int], object],
+    order: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Indices 0..len(key)-1 in increasing order of distinct exact values.
 
-    A floating-point filter: sort by the approximate float ``key``, then
-    certify each adjacent pair, by ``separated(part)`` (a bool per adjacent
-    pair of a run of the order, True where the approximation proves it) or
-    else by the exact ``less(p, q)``; if some pair fails, sort again by
-    ``exact_key``.  Runs of BLOCK_TRIPLES pairs keep the temporaries small.
+    A floating-point filter: sort by the approximate float ``key`` unless
+    ``order`` is that sort, then certify each adjacent pair, by
+    ``separated(part)`` (a bool per adjacent pair of a run of the order,
+    True where the approximation proves it) or else by the exact
+    ``less(p, q)``; if some pair fails, sort again by ``exact_key``.  Runs
+    of BLOCK_TRIPLES pairs keep the temporaries small.
     """
-    order = np.argsort(key, kind="stable")
+    if order is None:
+        order = np.argsort(key, kind="stable")
     for start in range(0, len(order) - 1, BLOCK_TRIPLES):
         part = order[start : start + BLOCK_TRIPLES + 1]
         for t in np.flatnonzero(~separated(part)).tolist():
@@ -295,8 +290,8 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
         return AreaCensus(arr.n, class_ids, chosen, tally, areas=areas)
     block = BLOCK_BYTES_PER_TRIPLE * min(triples, BLOCK_TRIPLES)
     check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
-    num, den, class_ids, tally = _classify_int64(coeffs)
-    return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den)
+    num, den, class_ids, tally, order = _classify_int64(coeffs)
+    return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den, order=order)
 
 
 class CensusMemoryError(ValueError):
@@ -384,7 +379,7 @@ def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray, np.ndar
     return list(class_of), class_ids, np.array(tally, dtype=np.int64)
 
 
-def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     # Blocks of consecutive (i, j) pairs holding about BLOCK_TRIPLES triples
     # each: the kernel and the grouping of one block write its class ids
     # straight into the table, so only the table is C(n,3)-sized.
@@ -412,7 +407,7 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
         block[conc] = CONCURRENT_ID
         concurrent += int(np.count_nonzero(conc))
         proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
-        ids, first = _group(num[proper], den[proper])
+        ids, first, order = _group(num[proper], den[proper])
         block[proper] = ids + found if found else ids
         first = proper[first]
         num, den, count = num[first], den[first], np.bincount(ids, minlength=len(first))
@@ -422,6 +417,7 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
                 grown = np.empty((3, max(end, 2 * classes.shape[1])), dtype=np.int64)
                 grown[:, :found] = classes[:, :found]
                 classes = grown
+                del grown  # or the name keeps the buffer alive to the end
             classes[:, found:end] = num, den, count
             found = end
             if not t0:
@@ -437,37 +433,40 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     if merge:
         # in block order, a class's first entry in the buffer is its first
         # appearance among all triples
-        merged, first = _group(classes[0, :found], classes[1, :found])
-        count = np.zeros(len(first), dtype=np.int64)
-        np.add.at(count, merged, classes[2, :found])
+        merged, first, order = _group(classes[0, :found], classes[1, :found])
         num, den = classes[0, first], classes[1, first]
-        del classes, first
+        del first
+        count = np.zeros(len(num), dtype=np.int64)
+        np.add.at(count, merged, classes[2, :found])
+        del classes
         # ids -1 and -2 index the last two entries of the lookup table
         table = np.concatenate((merged, [PARALLEL_ID, CONCURRENT_ID])).astype(np.int32)
         for t0 in range(0, len(class_ids), BLOCK_TRIPLES):
             block = class_ids[t0:t0 + BLOCK_TRIPLES]
             block[:] = table[block]
     parallel = len(class_ids) - concurrent - int(count.sum())
-    return num, den, class_ids, np.concatenate(([parallel, concurrent], count))
+    return num, den, class_ids, np.concatenate(([parallel, concurrent], count)), order
 
 
-def _group(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _group(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Group equal reduced (num, den) pairs: the class of each pair, classes
-    numbered by first appearance, and the index of each class's first pair.
+    numbered by first appearance, the index of each class's first pair, and
+    the classes by increasing key num/den (None after the exact fallback).
 
     Pairs are sorted by the float64 key num/den.  Equal pairs have equal
     keys; adjacent equal keys are certified to hold equal pairs, and if some
     do not (distinct ratios near 2^62 can round to one float) the pairs are
     grouped exactly with np.lexsort instead."""
     if not len(num):
-        return np.zeros(0, np.int32), np.zeros(0, np.int64)
+        return np.zeros(0, np.int32), np.zeros(0, np.int64), np.zeros(0, np.int32)
     key = num / den
     order = np.argsort(key)
     key = key[order]
     new = key[1:] != key[:-1]
     del key
     a, b = order[:-1][~new], order[1:][~new]
-    if (num[a] != num[b]).any() or (den[a] != den[b]).any():
+    by_key = not ((num[a] != num[b]).any() or (den[a] != den[b]).any())
+    if not by_key:
         order = np.lexsort((den, num))
         p, q = num[order], den[order]
         new = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
@@ -483,7 +482,7 @@ def _group(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     del first
     ids = np.empty(len(order), dtype=np.int32)
     ids[order] = rank[run]
-    return ids, np.flatnonzero(is_first)
+    return ids, np.flatnonzero(is_first), rank if by_key else None
 
 
 def triples_with_area(

@@ -18,10 +18,12 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import __version__
 from .arrangement import Arrangement, ArrangementError, ArrangementParseError
 from .bounds import trigrid_facial_formula, hexgrid_facial_formula, verify_arrangement
-from .census import UNIT_AREA, census, facial_triangle_count, per_line_counts
+from .census import UNIT_AREA, AreaCensus, census, facial_triangle_count, per_line_counts
 from .chain import ChainError, max_chain
 from .conics import validate_general_position
 from .constructions import (
@@ -153,7 +155,7 @@ def _cmd_census(args) -> int:
         results["per_line_counts"] = per_line_counts(arr, area, cen=cen)
     report["results"] = results
     if args.json:
-        print(_census_json(report, cen.formatted_items()))
+        print(_census_json(report, cen))
         return EXIT_OK
 
     human = [
@@ -174,12 +176,26 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
-def _census_json(report: dict, items: List[Tuple[str, int]]) -> str:
-    """json.dumps(report, indent=2) with results["areas"] written here: the
+# one entry of results["areas"] as json.dumps(indent=2) writes it; "%.0s"
+# takes the den of an integer area and prints nothing
+_AREA_ROW = '      {\n        "area": "%s",\n        "count": %d\n      }'
+_FRACTION_ROW, _INTEGER_ROW = _AREA_ROW.replace("%s", "%d/%d"), _AREA_ROW.replace("%s", "%d%.0s")
+
+
+def _census_json(report: dict, cen: AreaCensus) -> str:
+    """json.dumps(report, indent=2) with results["areas"] written here by one
+    % format over the classes' columns in increasing area order: the
     indenting encoder is slow on long lists, and area strings need no escapes."""
     report["results"]["areas"] = slot = "\0areas"
-    rows = [f'      {{\n        "area": "{a}",\n        "count": {c}\n      }}' for a, c in items]
-    areas = "[\n" + ",\n".join(rows) + "\n    ]" if rows else "[]"
+    order = cen._order
+    if cen.num is None:
+        rows = [_AREA_ROW] * len(order)
+        values = [x for c in order.tolist() for x in (format_scalar(cen.areas[c]), cen.class_counts[c])]
+    else:
+        columns = np.stack((cen.num, cen.den, cen.class_counts), axis=1)[order]
+        rows = [_INTEGER_ROW if q == 1 else _FRACTION_ROW for q in columns[:, 1].tolist()]
+        values = columns.ravel().tolist()
+    areas = "[\n" + ",\n".join(rows) % tuple(values) + "\n    ]" if rows else "[]"
     return json.dumps(report, indent=2).replace(json.dumps(slot), areas, 1)
 
 

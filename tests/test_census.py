@@ -2,7 +2,11 @@
 
 import importlib
 import io
+import json
+import os
+import tempfile
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
@@ -30,6 +34,7 @@ from triarea.census import (
     unit_count_by_frame_identity,
 )
 from triarea.chain import max_chain
+from triarea.cli import EXIT_OK, _census_json, main
 from triarea.constructions import (
     hexgrid,
     pentagon,
@@ -212,6 +217,12 @@ def test_fewer_than_three_lines(n, backend):
     assert facial_triangles(arr, backend=backend) == []
 
 
+def _area_list(cen):
+    """The (area, count) rows that `census --json` writes from this census."""
+    areas = json.loads(_census_json({"results": {}}, cen))["results"]["areas"]
+    return [(row["area"], row["count"]) for row in areas]
+
+
 # (num, den) pairs whose float64 keys tie (2^53 and 2^53 + 1) or misorder
 # (the smaller ratio gets the larger key)
 FLOAT_KEY_TRAPS = [((2**53, 1), (2**53 + 1, 1)), ((19 * 2**53 + 48, 19), (16 * 2**53 + 43, 16))]
@@ -234,7 +245,7 @@ def test_class_order_repairs_float_keys(small, large, flip):
     assert lo < hi
     assert (cen.min_area, cen.max_area) == (lo, hi)
     assert cen.sorted_items() == [(lo, 1 + flip), (hi, 2 - flip)]
-    assert cen.formatted_items() == [(str(lo), 1 + flip), (str(hi), 2 - flip)]
+    assert _area_list(cen) == [(str(lo), 1 + flip), (str(hi), 2 - flip)]
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -254,7 +265,7 @@ def test_tower_class_order_repairs_close_keys(flip):
     cen = AreaCensus(4, ids, "exact", np.bincount(ids - PARALLEL_ID), areas=[first, second])
     assert (cen.min_area, cen.max_area) == (root5, above)
     assert cen.sorted_items() == [(root5, 2 - flip), (above, 1 + flip)]
-    assert cen.formatted_items() == [(format_scalar(root5), 2 - flip), (format_scalar(above), 1 + flip)]
+    assert _area_list(cen) == [(format_scalar(root5), 2 - flip), (format_scalar(above), 1 + flip)]
 
 
 def test_census_rejects_small():
@@ -304,8 +315,8 @@ def test_table_builders_agree(arr):
     absent = (exact.max_area or 0) + 1
     for area in (1, 2, Fraction(1, 2), absent, QuadExt(exact.min_area or 1, 0, 5), QuadExt(1, 1, 5)):
         assert fast.count(area) == exact.count(area)
-    assert fast.formatted_items() == exact.formatted_items()
-    assert exact.formatted_items() == [(format_scalar(a), c) for a, c in exact.sorted_items()]
+    assert _area_list(fast) == _area_list(exact)
+    assert _area_list(exact) == [(format_scalar(a), c) for a, c in exact.sorted_items()]
     assert fast.areas == exact.areas
     assert fast.sorted_items() == exact.sorted_items()
     assert fast.class_ids.dtype == exact.class_ids.dtype == np.int32
@@ -381,6 +392,65 @@ def test_block_builder_on_grids(grid, n):
     _assert_blocks_agree(grid(n), exact=n <= 12)
 
 
+def _census_json_bytes(arr, block=None):
+    """`census --json` of the arrangement, in blocks of ``block`` triples when given."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(census_module, "BLOCK_TRIPLES", block)
+        path = os.path.join(tmp, "arr.lines")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(arr.to_text())
+        with redirect_stdout(io.StringIO()) as buf:
+            assert main(["census", "--json", path]) == EXIT_OK
+    return buf.getvalue()
+
+
+def _assert_handed_order_certified(cen):
+    # the class order handed over by the grouping sort, certified, equals
+    # the order the same table sorts for itself, and the exact one
+    own = AreaCensus(
+        cen.n,
+        cen.class_ids,
+        cen.backend,
+        np.array([cen.parallel_count, cen.concurrent_count, *cen.class_counts]),
+        num=cen.num,
+        den=cen.den,
+    )
+    assert own._key_order is None
+    assert np.array_equal(cen._order, own._order)
+    exact = sorted(range(cen.distinct_count), key=lambda c: Fraction(int(cen.num[c]), int(cen.den[c])))
+    assert cen._order.tolist() == exact
+    assert cen._key_order is None or cen._order is cen._key_order  # no second sort
+    assert _area_list(cen) == _area_list(own)
+
+
+random_arrangements = st.builds(random_arrangement, st.integers(3, 14), seed=st.integers(0, 99))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(near_gate_arrangements(), small_grids(), random_arrangements))
+def test_handed_class_order_matches_own_sort(arr):
+    # with the default blocks (one block here) and with blocks of 24
+    # triples, whose classes are merged
+    assume(arr.n >= 3)
+    whole, blocks = census(arr, backend="numpy"), _block_census(arr, 24)
+    for cen in (whole, blocks):
+        _assert_handed_order_certified(cen)
+    _assert_same_table(blocks, whole)
+    assert np.array_equal(blocks._order, whole._order)
+    assert _census_json_bytes(arr, 24) == _census_json_bytes(arr)
+
+
+@pytest.mark.parametrize("block", [None, 24])
+def test_grouping_hands_over_the_class_order(block):
+    # random lines never tie on the float keys: the census keeps the order
+    # of its last grouping sort and does not sort again
+    arr = random_arrangement(14, seed=2)
+    cen = census(arr, backend="numpy") if block is None else _block_census(arr, block)
+    assert cen._key_order is not None and len(cen._key_order) == cen.distinct_count
+    _assert_handed_order_certified(cen)
+
+
 # classes whose float64 keys tie: 2^53 and 2^53 + 1
 TIE, TIE1 = (2**53, 1), (2**53 + 1, 1)
 
@@ -409,9 +479,13 @@ def test_group_certifies_float_ties(monkeypatch, areas):
     assert cen.class_ids.tolist() == [first.index(a) for a in areas]
     assert list(zip(cen.num.tolist(), cen.den.tolist())) == first
     assert cen.class_counts == [areas.count(a) for a in first]
-    ids, firsts = census_module._group(*np.array(areas, dtype=np.int64).T)
+    ids, firsts, order = census_module._group(*np.array(areas, dtype=np.int64).T)
     assert ids.tolist() == [first.index(a) for a in areas]
     assert firsts.tolist() == [areas.index(a) for a in first]
+    # the exact fallback hands over no class order, and the census still
+    # orders its classes, by its own sort
+    assert order is None and cen._key_order is None
+    assert cen.sorted_items() == sorted((Fraction(*a), areas.count(a)) for a in first)
 
 
 @pytest.mark.parametrize("backend", ["numpy", "exact"])

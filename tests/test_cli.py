@@ -122,7 +122,7 @@ def test_census_human_mode_builds_no_area_list(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(AreaCensus, "areas", property(refuse))
     monkeypatch.setattr(AreaCensus, "sorted_items", refuse)
-    monkeypatch.setattr(AreaCensus, "formatted_items", refuse)
+    monkeypatch.setattr("triarea.cli._census_json", refuse)
     code, out, _ = run_cli(capsys, ["census", str(path), "--per-line", "1"])
     assert code == EXIT_OK
     assert "min area" in out and "line 9:" in out
@@ -163,6 +163,7 @@ def test_census_json_bytes_match_json_dumps(arr, facial, per_line):
     except ValueError:  # the canonical text of some chain subsets does not parse back
         assume(False)
     cen = census(parsed)
+    outs = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "arr.lines")
         with open(path, "w", encoding="utf-8") as fh:
@@ -171,14 +172,19 @@ def test_census_json_bytes_match_json_dumps(arr, facial, per_line):
         if per_line is not None:
             area = getattr(cen, per_line, None)  # None for "1" and without triangles
             argv += ["--per-line", "1" if area is None else format_scalar(area)]
-        with redirect_stdout(io.StringIO()) as buf:
-            assert main(argv) == EXIT_OK
-    out = buf.getvalue()
-    report = json.loads(out)
-    assert report["results"]["areas"] == [
-        {"area": format_scalar(a), "count": c} for a, c in cen.sorted_items()
-    ]
-    assert out == json.dumps(report, indent=2) + "\n"
+        for backend in ("auto", "exact"):
+            with redirect_stdout(io.StringIO()) as buf:
+                assert main(argv + ["--backend", backend]) == EXIT_OK
+            outs.append(buf.getvalue())
+    for out in outs:
+        report = json.loads(out)
+        assert report["results"]["areas"] == [
+            {"area": format_scalar(a), "count": c} for a, c in cen.sorted_items()
+        ]
+        assert out == json.dumps(report, indent=2) + "\n"
+    # the exact writer spells rational areas as the int64 one does
+    auto, exact = map(json.loads, outs)
+    assert exact == {**auto, "backend": "exact"}
 
 
 def test_census_facial_prints_bare_count(capsys, monkeypatch, tmp_path):
@@ -246,7 +252,9 @@ def test_verify_bounds_outputs_pinned(construction, tmp_path, capsys):
 
 
 # sha256 of `census --json` and `census --facial --json` on generated grids
-# and a random arrangement, recorded while the census still ran in one piece
+# and random arrangements, recorded while the census still ran in one piece
+# (random -n 100: 161,700 triples, so three blocks and a merge, recorded
+# while the class order was still sorted apart from the grouping)
 CENSUS_SHA256 = {
     ("hexgrid", "-n", "150"): (
         "fc7f628510edb3d476f1b58c67ab6dbb65aab9ad813e4becd0cb57ecc09b6638",
@@ -260,10 +268,14 @@ CENSUS_SHA256 = {
         "8637da868d0dd2db6298dcd4bb5fa240ea5d41410affac2b4e34236584b93f0d",
         "9dfd9e45aa0e44c6a17606d16e8fc613382a788570f9444540a0fb31f718e10c",
     ),
+    ("random", "-n", "100", "--seed", "1"): (
+        "1c87d58e024cbcd1edd0993ff82f81e20be65bddcebd86226f0526e5eb587e03",
+        "bf29f89ad2e43b02775805690f162cbb48179749eaaa692a0ce21cdcf8013a61",
+    ),
 }
 
 
-@pytest.mark.parametrize("construction", CENSUS_SHA256, ids=lambda c: c[0])
+@pytest.mark.parametrize("construction", CENSUS_SHA256, ids=lambda c: c[0] if c[2] != "100" else "random-blocks")
 def test_census_outputs_pinned(construction, tmp_path, capsys):
     path = tmp_path / "input.lines"
     code, _, _ = run_cli(capsys, ["generate", *construction, "-o", str(path)])
