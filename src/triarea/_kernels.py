@@ -6,15 +6,17 @@ int64_safe), both run on machine integers.  The census kernel is one
 vectorized numpy pass over the triples (i, j, k), j < k, of a run of
 (i, j) pairs, in lexicographic i<j<k order, with the same formula as the
 exact path: area D^2 / (2*|w12*w13*w23|), D the coefficient determinant
-and w the pair weights from one n x n table.  census.py calls it block by
-block, so its int64 temporaries are O(block) and not O(C(n,3)); called
-without pairs it covers all C(n,3) triples.  combo_index_arrays and
-combo_rank map between a rank in that order and its triple.  Facial
-triangles have one algorithm for every backend: sort the crossing points
-along each line (crossing_ranks_int64 here, the exact scalars' ``<`` in
-census.py) and keep the triples whose three sides join consecutive
-crossings (faces_from_ranks), O(n^2 log n) in all.  Exact arithmetic in
-census.py remains the fallback and the ground truth.
+and w the pair weights from one n x n table; parallel pairs are dropped
+before they are expanded into triples, and only proper triples are
+reduced.  census.py calls it block by block, so its int64 temporaries are
+O(block) and not O(C(n,3)); called without pairs it covers all C(n,3)
+triples.  combo_index_arrays and combo_rank map between a rank in that
+order and its triple.  Facial triangles have one algorithm for every
+backend: sort the crossing points along each line (crossing_ranks_int64
+here, the exact scalars' ``<`` in census.py) and keep the triples whose
+three sides join consecutive crossings (faces_from_ranks), O(n^2 log n)
+in all.  Exact arithmetic in census.py remains the fallback and the
+ground truth.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-
-STATUS_PROPER = 0
-STATUS_CONCURRENT = 1
-STATUS_PARALLEL = 2
 
 # crossing rank of a parallel pair and of a line with itself
 NO_CROSSING = -2
@@ -60,20 +58,22 @@ def combo_index_arrays(n: int, ranks: np.ndarray | None = None) -> tuple[np.ndar
     # in lexicographic order, and pair (i, j) has n-1-j of them
     i, j = np.triu_indices(n, k=1)
     if ranks is None:
-        return pair_triples(n, i, j)
+        K, I, J = pair_triples(n, j, i, j)
+        return I, J, K
     sizes = n - 1 - j
     start = np.cumsum(sizes) - sizes
     pair = np.searchsorted(start, ranks, side="right") - 1
     return i[pair], j[pair], j[pair] + 1 + ranks - start[pair]
 
 
-def pair_triples(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (I, J, K) of the triples (i, j, k), j < k < n, of the
-    given pairs, pair by pair and k increasing."""
+def pair_triples(n: int, j: np.ndarray, *per_pair: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The third lines K of the triples (i, j, k), j < k < n, of pairs with
+    the given second lines j, pair by pair and k increasing, then each
+    array of per_pair values repeated along its pair's triples."""
     sizes = n - 1 - j
     start = np.cumsum(sizes) - sizes
     K = np.arange(int(sizes.sum())) - np.repeat(start - j - 1, sizes)
-    return np.repeat(i, sizes), np.repeat(j, sizes), K
+    return (K, *(np.repeat(x, sizes) for x in per_pair))
 
 
 def combo_rank(n: int, i, j, k) -> np.ndarray:
@@ -103,41 +103,51 @@ def pair_weights(coeffs: np.ndarray) -> np.ndarray:
 
 def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None = None,
                  weights: np.ndarray | None = None):
-    """Reduced (num, den) and status per triple, in lexicographic order, of
-    the triples (i, j, k), j < k, of the given (i, j) pairs, or of all C(n,3)
-    triples when pairs is None: the area D^2 / (2*|w12*w13*w23|) of
-    arrangement.area_from_weights, with the pair weights read from the table
-    ``weights`` (pair_weights(coeffs) when not given)."""
+    """(num, den, conc, pos) for the triples (i, j, k), j < k, of the given
+    (i, j) pairs, or of all C(n,3) triples when pairs is None, with the pair
+    weights from ``weights`` (pair_weights(coeffs) when not given): the
+    reduced area D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights
+    of each proper triple, the positions of the concurrent triples, and
+    those of the proper triples, increasing.  A position counts the pairs'
+    triples in lexicographic order; the others have a parallel pair."""
     n = len(coeffs)
     if weights is None:
         weights = pair_weights(coeffs)
     i, j = np.triu_indices(n, k=1) if pairs is None else pairs
-    I, J, K = pair_triples(n, i, j)
+    w12 = weights[i, j]
+    crossing = w12 != 0  # a pair of parallel lines has weight 0 and no proper triple
+    skipped = None
+    if not crossing.all():
+        skipped = np.cumsum((n - 1 - j) * ~crossing)[crossing]  # triples dropped before each pair
+        i, j, w12 = i[crossing], j[crossing], w12[crossing]
     c = coeffs[:, 2]
-    # w12 is constant along a pair's run; flat takes beat 2-D fancy indexing
-    flat = weights.ravel()
-    w12 = np.repeat(weights[i, j], n - 1 - j)
-    w13, w23 = flat.take(I * n + K), flat.take(J * n + K)
-    d = c[I] * w23 - c[J] * w13 + c[K] * w12
-    del I, J, K
+    # repeats of per-pair values and flat takes beat gathers and 2-D
+    # indexing; w13 and w23 start as the flat offsets of rows i and j
+    K, w13, w23, ci, cj, w12 = pair_triples(n, j, i * n, j * n, c[i], c[j], w12)
+    w13 = weights.ravel().take(w13 + K)
+    w23 = weights.ravel().take(w23 + K)
+    d = ci * w23 - cj * w13 + c[K] * w12
     den = w12 * w13
     den *= w23
-    del w12, w13, w23
-    par = den == 0  # a pair of parallel lines has weight 0
-    conc = (d == 0) & ~par
-    status = np.full(len(d), STATUS_PROPER, dtype=np.uint8)
-    status[par] = STATUS_PARALLEL
-    status[conc] = STATUS_CONCURRENT
-    bad = par | conc
+    del K, ci, cj, w12, w13, w23
+    pos = np.arange(len(d))
+    if skipped is not None:
+        pos += np.repeat(skipped, n - 1 - j)
+    # one filter after D beats one before it on its six inputs; a zero weight here joins
+    # distinct parallel lines, (a_k, b_k) = t*(a_i, b_i), so D = w12*(c_k - t*c_i) != 0
+    proper = den != 0
+    conc = d == 0
+    proper ^= conc
+    conc = pos[conc]
+    if not proper.all():
+        pos, d, den = pos[proper], d[proper], den[proper]
     num = d * d
-    num[bad] = 0
     np.abs(den, out=den)
     den *= 2
-    den[bad] = 1
-    g = np.gcd(num, den)  # at least 1: num and den are not both 0
+    g = np.gcd(num, den)
     num //= g
     den //= g
-    return num, den, status
+    return num, den, conc, pos
 
 
 def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:

@@ -12,10 +12,12 @@ D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights: the C(n,2) pair
 weights w are computed once, and each triple costs one coefficient
 determinant D and its square (for a tower arrangement the only arithmetic
 in the deep field, since a and b stay in the base field).  The int64
-builder runs in blocks of about BLOCK_TRIPLES triples: each block's kernel
-output is grouped into classes (_group: a float64 key sort certified pair
-by pair, exact lexsort as the fallback) and its ids written into the
-table, then the blocks' classes are merged by the same grouping, whose
+builder runs in blocks of about BLOCK_TRIPLES triples: each block is
+filled with PARALLEL_ID, the kernel's concurrent positions get
+CONCURRENT_ID, and its (num, den) pairs, one per proper triple, are
+grouped into classes (_group: a float64 key sort certified pair by pair,
+exact lexsort as the fallback) whose ids go to the proper positions;
+then the blocks' classes are merged by the same grouping, whose
 sort is kept as the class order.  Memory is the 4-byte table plus one
 block plus O(classes); check_memory refuses, with CensusMemoryError, a
 table and block that do not fit, and once the first block shows the rate
@@ -56,10 +58,11 @@ CONCURRENT_ID = -1
 PARALLEL_ID = -2
 
 # triples per block of the int64 builder, and a bound on the bytes of one
-# block's temporaries per triple (kernel and grouping; tracemalloc measures
-# about 75 on random and grid blocks, doubled here for allocator slack)
+# block's temporaries per triple (kernel and grouping, with the previous
+# block's arrays still held; tracemalloc measures 120 on random blocks and
+# 47 on grid blocks, 65 and 43 without, doubled here for allocator slack)
 BLOCK_TRIPLES = 2**16
-BLOCK_BYTES_PER_TRIPLE = 128
+BLOCK_BYTES_PER_TRIPLE = 240
 # a bound on the bytes per class entry of the blocks' merge (the (num, den,
 # count) buffer, _group's temporaries and the int32 class order the census
 # keeps: on random_arrangement(300), 4.4M entries, tracemalloc counts 75 with
@@ -400,16 +403,13 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     classes = np.empty((3, min(len(class_ids), 4 * BLOCK_TRIPLES) if merge else 0), dtype=np.int64)
     found = concurrent = 0
     for p0, p1, t0, t1 in zip(pair_at[:-1], pair_at[1:], rank_at[:-1], rank_at[1:]):
-        num, den, status = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights)
+        num, den, conc, pos = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights)
         block = class_ids[t0:t1]
         block.fill(PARALLEL_ID)
-        conc = status == _kernels.STATUS_CONCURRENT
         block[conc] = CONCURRENT_ID
-        concurrent += int(np.count_nonzero(conc))
-        proper = np.flatnonzero(status == _kernels.STATUS_PROPER)
-        ids, first, order = _group(num[proper], den[proper])
-        block[proper] = ids + found if found else ids
-        first = proper[first]
+        concurrent += len(conc)
+        ids, first, order = _group(num, den)
+        block[pos] = ids + found if found else ids
         num, den, count = num[first], den[first], np.bincount(ids, minlength=len(first))
         if merge:
             end = found + len(first)
@@ -440,7 +440,7 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
         np.add.at(count, merged, classes[2, :found])
         del classes
         # ids -1 and -2 index the last two entries of the lookup table
-        table = np.concatenate((merged, [PARALLEL_ID, CONCURRENT_ID])).astype(np.int32)
+        table = np.concatenate((merged, np.array([PARALLEL_ID, CONCURRENT_ID], dtype=np.int32)))
         for t0 in range(0, len(class_ids), BLOCK_TRIPLES):
             block = class_ids[t0:t0 + BLOCK_TRIPLES]
             block[:] = table[block]

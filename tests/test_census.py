@@ -441,6 +441,64 @@ def test_handed_class_order_matches_own_sort(arr):
     assert _census_json_bytes(arr, 24) == _census_json_bytes(arr)
 
 
+DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]
+
+
+@st.composite
+def few_direction_arrangements(draw):
+    # 2 to 4 directions, each with a line through the origin, so that three
+    # directions force concurrent triples; at least 27 lines with the first
+    # two parallel, so that with blocks of 24 triples the first block is
+    # the pair (0, 1) alone and holds no proper triple
+    dirs = draw(st.lists(st.sampled_from(DIRECTIONS), min_size=2, max_size=4, unique=True))
+    size = -(-27 // len(dirs))
+    lines = []
+    for a, b in dirs:
+        offsets = draw(st.lists(st.integers(-12, 12).filter(bool), min_size=size - 1, max_size=size + 2, unique=True))
+        lines += [Line(a, b, c) for c in [0, *offsets]]
+    return Arrangement(lines)
+
+
+def _census_facial_json(arr, backend):
+    """`census --facial --json` of the arrangement with the given backend."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "arr.lines")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(arr.to_text())
+        with redirect_stdout(io.StringIO()) as buf:
+            assert main(["census", "--facial", "--json", "--backend", backend, path]) == EXIT_OK
+    return buf.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(few_direction_arrangements())
+def test_blocks_without_proper_triples_match_exact(arr):
+    kernel, proper = _kernels.census_int64, []
+
+    def counting(*args):
+        out = kernel(*args)
+        proper.append(len(out[-1]))
+        return out
+
+    exact = census(arr, backend="exact")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "BLOCK_TRIPLES", 24)
+        mp.setattr(_kernels, "census_int64", counting)
+        fast = census(arr, backend="numpy")
+        assert proper[0] == 0 and sum(proper) == exact.proper_count
+        assert fast.class_ids.dtype == np.int32 and np.array_equal(fast.class_ids, exact.class_ids)
+        assert (fast.parallel_count, fast.concurrent_count, fast.class_counts) == (
+            exact.parallel_count,
+            exact.concurrent_count,
+            exact.class_counts,
+        )
+        assert fast.areas == exact.areas
+        assert np.array_equal(fast._order, exact._order)
+        fast_json = _census_facial_json(arr, "numpy")
+    assert fast_json.count('"backend": "numpy"') == 1
+    assert fast_json.replace('"backend": "numpy"', '"backend": "exact"') == _census_facial_json(arr, "exact")
+
+
 @pytest.mark.parametrize("block", [None, 24])
 def test_grouping_hands_over_the_class_order(block):
     # random lines never tie on the float keys: the census keeps the order
@@ -468,9 +526,9 @@ def test_group_certifies_float_ties(monkeypatch, areas):
     arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1), Line(1, 2, 5)])
 
     def kernel(coeffs, pairs, weights):
-        ranks = _kernels.combo_rank(len(coeffs), *_kernels.pair_triples(len(coeffs), *pairs))
+        ranks = _kernels.combo_rank(len(coeffs), *_kernels.pair_triples(len(coeffs), pairs[1], *pairs))
         num, den = np.array(areas, dtype=np.int64)[ranks].T
-        return num.copy(), den.copy(), np.full(len(ranks), _kernels.STATUS_PROPER, np.uint8)
+        return num.copy(), den.copy(), np.zeros(0, np.int64), np.arange(len(ranks))
 
     monkeypatch.setattr(_kernels, "census_int64", kernel)
     monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 2)

@@ -1,13 +1,15 @@
 """Integer kernel tests: agreement with the exact census, triple ranks, the
 crossing order and the int64 safety gate."""
 
+from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
 
 from triarea import _kernels
-from triarea.arrangement import Arrangement, Line
+from triarea.arrangement import CONCURRENT, PROPER, Arrangement, Line, area_from_weights
 from triarea.census import (
     _crossing_ranks_exact,
     census,
@@ -15,7 +17,7 @@ from triarea.census import (
     integer_coefficients,
     select_backend,
 )
-from triarea.constructions import hexgrid, random_arrangement
+from triarea.constructions import hexgrid, random_arrangement, trigrid
 
 
 def _coeffs(arr):
@@ -28,7 +30,7 @@ def test_census_kernels_agree():
     for seed in (0, 3, 11):
         arr = random_arrangement(14, seed=seed)
         coeffs = _coeffs(arr)
-        num, den, _ = _kernels.census_int64(coeffs)
+        num, den, _, _ = _kernels.census_int64(coeffs)
         assert np.all(np.gcd(num, den) == 1)
         fast, exact = census(arr, backend="numpy"), census(arr, backend="exact")
         assert np.array_equal(fast.class_ids, exact.class_ids)
@@ -67,10 +69,86 @@ def test_crossing_order_repairs_float_ties():
 def test_status_codes_match_exact():
     arr = hexgrid(8)  # three parallel families
     coeffs = _coeffs(arr)
-    _, _, status = _kernels.census_int64(coeffs)
+    _, _, conc, pos = _kernels.census_int64(coeffs)
     cen = census(arr, backend="exact")
-    assert int((status == _kernels.STATUS_CONCURRENT).sum()) == cen.concurrent_count
-    assert int((status == _kernels.STATUS_PARALLEL).sum()) == cen.parallel_count
+    assert len(conc) == cen.concurrent_count
+    assert cen.total_triples - len(pos) - len(conc) == cen.parallel_count
+
+
+def _kernel_reference(coeffs, pairs=None):
+    """What census_int64 must return for these pairs (all of them when
+    None, else a subset in lexicographic order): the positions of the
+    proper triples, their reduced exact areas and the positions of the
+    concurrent triples, walking every triple in lexicographic order and
+    taking each area from the exact area_from_weights."""
+    n = len(coeffs)
+    a, b, c = ([Fraction(int(x)) for x in coeffs[:, m]] for m in range(3))
+
+    def w(p, q):
+        return a[p] * b[q] - a[q] * b[p]
+
+    chosen = None if pairs is None else set(zip(*(x.tolist() for x in pairs)))
+    pos, areas, conc = [], [], []
+    at = 0  # the position among the chosen pairs' triples
+    for i, j, k in zip(*(x.tolist() for x in _kernels.combo_index_arrays(n))):
+        if chosen is not None and (i, j) not in chosen:
+            continue
+        area, status = area_from_weights(c[i], c[j], c[k], w(i, j), w(i, k), w(j, k))
+        if status == PROPER:
+            pos.append(at)
+            areas.append((area.numerator, area.denominator))
+        elif status == CONCURRENT:
+            conc.append(at)
+        at += 1
+    return pos, areas, conc
+
+
+PARALLEL_FREE = random_arrangement(12, seed=4)
+KERNEL_CASES = {
+    "hexgrid8": hexgrid(8),
+    "trigrid9": trigrid(9),
+    "random": PARALLEL_FREE,
+    "all-parallel": Arrangement([Line(1, 1, c) for c in range(6)]),
+    "all-concurrent": Arrangement([Line(a, b, 0) for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))]),
+}
+
+
+def _assert_kernel_matches(coeffs, pairs=None):
+    num, den, conc, pos = _kernels.census_int64(coeffs, pairs)
+    want_pos, want_areas, want_conc = _kernel_reference(coeffs, pairs)
+    assert all(x.dtype == np.int64 for x in (num, den, conc, pos))
+    assert np.all(np.diff(pos) > 0)
+    assert pos.tolist() == want_pos
+    assert list(zip(num.tolist(), den.tolist())) == want_areas
+    assert conc.tolist() == want_conc
+    return len(pos)
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_matches_exact_walk(name):
+    # every triple, then runs of consecutive pairs starting at each third
+    coeffs = _coeffs(KERNEL_CASES[name])
+    _assert_kernel_matches(coeffs)
+    i, j = np.triu_indices(len(coeffs), k=1)
+    for p0 in range(0, len(i), max(1, len(i) // 3)):
+        _assert_kernel_matches(coeffs, (i[p0 : p0 + 9], j[p0 : p0 + 9]))
+
+
+def test_kernel_on_only_parallel_pairs_and_on_no_parallel_pair():
+    # a run made only of parallel pairs has no triple to return
+    coeffs = _coeffs(hexgrid(8))
+    weights = _kernels.pair_weights(coeffs)
+    i, j = np.triu_indices(len(coeffs), k=1)
+    parallel = weights[i, j] == 0
+    assert parallel.any()
+    assert _assert_kernel_matches(coeffs, (i[parallel], j[parallel])) == 0
+    assert all(len(x) == 0 for x in _kernels.census_int64(coeffs, (i[parallel], j[parallel])))
+    # with no parallel pair nothing is dropped before the determinant, and
+    # the positions are the triples' indices where no triple is concurrent
+    coeffs = _coeffs(PARALLEL_FREE)
+    weights = _kernels.pair_weights(coeffs)
+    assert np.count_nonzero(weights) == len(coeffs) * (len(coeffs) - 1)
+    assert _assert_kernel_matches(coeffs) + len(_kernels.census_int64(coeffs)[2]) == comb(len(coeffs), 3)
 
 
 def test_int64_gate_rejects_huge_coefficients():
