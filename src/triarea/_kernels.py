@@ -1,4 +1,4 @@
-"""Integer fast paths for the triangle census and the facial triangles.
+"""Array paths for the triangle census and the facial triangles.
 
 Rational arrangements in canonical form have integer coefficients; when the
 coefficient magnitudes certify that every intermediate fits in int64 (see
@@ -12,18 +12,20 @@ reduced.  census.py calls it block by block, so its int64 temporaries are
 O(block) and not O(C(n,3)); called without pairs it covers all C(n,3)
 triples.  combo_index_arrays and combo_rank map between a rank in that
 order and its triple.  Facial triangles have one algorithm for every
-backend: sort the crossing points along each line (crossing_ranks_int64
-here, the exact scalars' ``<`` in census.py) and keep the triples whose
-three sides join consecutive crossings (faces_from_ranks), O(n^2 log n)
-in all.  Exact arithmetic in census.py remains the fallback and the
-ground truth.
+field: sort the crossing points along each line (crossing_ranks, one
+division-free routine for int64 columns and for numpy object columns of
+Python ints or tower elements) and keep the triples whose three sides join
+consecutive crossings (faces_from_ranks), O(n^2 log n) in all.  Exact
+arithmetic in census.py remains the fallback and the ground truth.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
+
+from .scalars import exact_sign, float_ratio
 
 # crossing rank of a parallel pair and of a line with itself
 NO_CROSSING = -2
@@ -150,18 +152,22 @@ def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None
     return num, den, conc, pos
 
 
-def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:
+def crossing_ranks(coeffs: np.ndarray) -> np.ndarray:
     """Rank matrix R for faces_from_ranks: R[i, j] is the rank of the point
     i∩j among the distinct crossing points on line i, ordered along the line.
 
-    The crossing sits at parameter N/W along line i, with N = a_i*Y - b_i*X
-    for the homogeneous crossing (X, Y, W) and W made positive.  Rows are
-    sorted by the float64 key N/W; every adjacent pair is then compared
-    exactly as N_p*W_q against N_q*W_p (bounded by 8*A^4*C, see int64_safe),
-    which gives equal points one rank and sends a misordered row to an exact
-    re-sort.  Inside the gate 8*A^4*C < 2^50, so distinct crossings differ
-    by more than 2^-50 of their size and their float keys never tie or
-    misorder; the exact pass certifies this instead of relying on it.
+    One routine, with no division in the field, for int64 columns inside
+    the gate and for numpy object columns of ring elements
+    (census.ring_coefficients).  The crossing sits at parameter N/W along
+    line i, with N = a_i*Y - b_i*X for the homogeneous crossing (X, Y, W)
+    and W made positive.  Rows are sorted by a float key near N/W (float64
+    division on int64, float_ratio on objects); every adjacent pair is then
+    compared exactly as N_p*W_q against N_q*W_p, which gives equal points
+    one rank and sends a misordered row, or a crossing with an infinite
+    key, to _exact_order.  Inside the gate 8*A^4*C < 2^50 (see int64_safe),
+    so distinct crossings differ by more than 2^-50 of their size and their
+    float keys never tie or misorder; the exact pass certifies this instead
+    of relying on it.
     """
     a, b, c = (coeffs[:, m, None] for m in range(3))
     X = b * c.T - b.T * c
@@ -170,27 +176,39 @@ def crossing_ranks_int64(coeffs: np.ndarray) -> np.ndarray:
     N = (a * Y - b * X) * np.sign(W)
     W = np.abs(W)
     crosses = W != 0
-    key = np.divide(N, W, out=np.full(W.shape, np.inf), where=crosses)
+    if coeffs.dtype == object:
+        key = np.frompyfunc(float_ratio, 2, 1)(N, W).astype(float)  # inf where W = 0
+    else:
+        key = np.divide(N, W, out=np.full(W.shape, np.inf), where=crosses)
     order = np.argsort(key, axis=1, kind="stable")
+    # parallel lines sort last (key inf), so in a row whose crossings have
+    # finite keys a valid right end means a valid pair
+    resort = (crosses & np.isinf(key)).any(axis=1)
     del key
     Ns = np.take_along_axis(N, order, axis=1)
     Ws = np.take_along_axis(W, order, axis=1)
-    # parallel lines sort last (key inf), so a valid right end means a valid pair
     valid = np.take_along_axis(crosses, order, axis=1)
     paired = valid[:, 1:]
-    d = Ns[:, :-1] * Ws[:, 1:] - Ns[:, 1:] * Ws[:, :-1]
-    for i in np.flatnonzero(((d > 0) & paired).any(axis=1)):
-        m = int(crosses[i].sum())
-        row = sorted(order[i, :m].tolist(), key=lambda j: Fraction(int(N[i, j]), int(W[i, j])))
-        order[i, :m] = row
-        Ns[i], Ws[i] = N[i, order[i]], W[i, order[i]]
-        d[i] = Ns[i, :-1] * Ws[i, 1:] - Ns[i, 1:] * Ws[i, :-1]
+    d = np.sign(Ns[:, :-1] * Ws[:, 1:] - Ns[:, 1:] * Ws[:, :-1])
+    for i in np.flatnonzero(resort | ((d > 0) & paired).any(axis=1)):
+        order[i] = _exact_order(N[i], W[i], crosses[i])
+        Ns[i], Ws[i], valid[i] = N[i, order[i]], W[i, order[i]], crosses[i, order[i]]
+        d[i] = np.sign(Ns[i, :-1] * Ws[i, 1:] - Ns[i, 1:] * Ws[i, :-1])
     ranks = np.zeros(order.shape, dtype=np.int64)
     np.cumsum((d < 0) & paired, axis=1, out=ranks[:, 1:])
     ranks[~valid] = NO_CROSSING
     R = np.empty_like(ranks)
     np.put_along_axis(R, order, ranks, axis=1)
     return R
+
+
+def _exact_order(n: np.ndarray, w: np.ndarray, crosses: np.ndarray) -> np.ndarray:
+    """The columns of one row: the crossings sorted exactly by n/w (w > 0),
+    comparing n_p*w_q with n_q*w_p, then the others in index order."""
+    n, w = n.tolist(), w.tolist()
+    by_n_over_w = cmp_to_key(lambda p, q: exact_sign(n[p] * w[q] - n[q] * w[p]))
+    cols = sorted(np.flatnonzero(crosses).tolist(), key=by_n_over_w)
+    return np.concatenate((np.array(cols, dtype=np.int64), np.flatnonzero(~crosses)))
 
 
 def faces_from_ranks(R: np.ndarray) -> np.ndarray:
@@ -223,4 +241,4 @@ def faces_from_ranks(R: np.ndarray) -> np.ndarray:
 
 def facial_int64(coeffs: np.ndarray) -> np.ndarray:
     """Facial triangles of an int64-safe arrangement, as faces_from_ranks."""
-    return faces_from_ranks(crossing_ranks_int64(coeffs))
+    return faces_from_ranks(crossing_ranks(coeffs))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -135,14 +136,6 @@ def intersect(l1: Line, l2: Line) -> Optional[Point]:
     px = l1.b * l2.c - l2.b * l1.c
     py = l1.c * l2.a - l2.c * l1.a
     return (px / w, py / w)
-
-
-def _homogeneous_vertex(l1: Line, l2: Line) -> Tuple[Scalar, Scalar, Scalar]:
-    return (
-        l1.b * l2.c - l2.b * l1.c,
-        l1.c * l2.a - l2.c * l1.a,
-        l1.a * l2.b - l2.a * l1.b,
-    )
 
 
 def pair_weight(l1: Line, l2: Line) -> Scalar:
@@ -395,23 +388,16 @@ class Arrangement:
         return any(len(v) > 1 for v in self.parallel_classes().values())
 
     def concurrent_triples(self) -> list[Tuple[int, int, int]]:
-        """All index triples meeting in one point (computed on demand)."""
-        from itertools import combinations
-
-        out = []
-        pts = {}
-        for i, j in combinations(range(self.n), 2):
-            p = intersect(self.lines[i], self.lines[j])
-            if p is not None:
-                pts[(i, j)] = p
-        for i, j, k in combinations(range(self.n), 3):
-            p = pts.get((i, j))
-            if p is None:
-                continue
-            lk = self.lines[k]
-            if (i, k) in pts and (j, k) in pts and exact_sign(lk.evaluate(p)) == 0:
-                out.append((i, j, k))
-        return out
+        """All index triples meeting in one point (computed on demand): the
+        three pair weights are nonzero and the coefficient determinant is 0."""
+        c = [_peel(line.c) for line in self.lines]
+        w = {(i, j): pair_weight(li, lj) for (i, li), (j, lj) in combinations(enumerate(self.lines), 2)}
+        return [
+            (i, j, k)
+            for i, j, k in combinations(range(self.n), 3)
+            if w[i, j] and w[i, k] and w[j, k]
+            and not coefficient_determinant(c[i], c[j], c[k], w[i, j], w[i, k], w[j, k])
+        ]
 
     def transform(self, amap: AffineMap) -> "Arrangement":
         return Arrangement([amap.apply_line(line) for line in self.lines])
@@ -469,10 +455,6 @@ class Arrangement:
             return Arrangement.from_text(fh.read())
 
 
-def _rad_equal(r1: Scalar, r2: Scalar) -> bool:
-    return rad_equal(r1, r2)
-
-
 def _canonical_field(lines: Tuple[Line, ...], rad: Optional[Scalar]) -> Tuple[Line, ...]:
     """Lift all surd coefficients into the deepest tower present.
 
@@ -506,7 +488,7 @@ def _tower_member(rad: Scalar, deep: Scalar) -> bool:
     """Is rad one of the radicands along deep's tower chain?"""
     probe: Optional[Scalar] = deep
     while probe is not None:
-        if _rad_equal(rad, probe):
+        if rad_equal(rad, probe):
             return True
         probe = probe.rad if isinstance(probe, QuadExt) else None
     return False
@@ -551,8 +533,6 @@ def choose_reference_frame(arr: Arrangement) -> ReferenceFrame:
     amap = AffineMap.vertical_shear(Fraction(lam)) if lam else AffineMap.identity()
     moved = arr.transform(amap) if lam else arr
     y_min: Optional[Scalar] = None
-    from itertools import combinations
-
     for l1, l2 in combinations(moved.lines, 2):
         p = intersect(l1, l2)
         if p is None:

@@ -20,9 +20,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .arrangement import Arrangement, intersect
-from .census import AreaCensus, census, facial_triangles, per_line_counts, triples_with_area
-from .scalars import Scalar, _peel, exact_sign
+from . import _kernels
+from .arrangement import Arrangement, coefficient_determinant
+from .census import (
+    AreaCensus,
+    _ring_leaf,
+    census,
+    facial_triangles,
+    per_line_counts,
+    ring_coefficients,
+    triples_with_area,
+)
+from .scalars import Scalar, exact_sign
 
 
 def kobon_bound(n: int) -> int:
@@ -109,12 +118,6 @@ class GellGraph:
         return len(self.e_plus) + len(self.e_minus)
 
 
-def _ring_leaf(x: Scalar):
-    """x with zero tower layers peeled, and an integral rational as an int."""
-    x = _peel(x)
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
 def build_gell_graphs(
     arr: Arrangement, ell_index: int, max_area: Optional[Scalar] = None
 ) -> GellGraph:
@@ -146,24 +149,21 @@ def build_gell_graphs(
         max_area = census(arr).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
-    ell = arr.lines[ell_index]
-    a0, b0, c0 = map(_ring_leaf, ell.coefficients())
-    dx, dy = map(_ring_leaf, ell.direction())
+    ring = ring_coefficients(arr)
+    a0, b0, c0 = ring[ell_index]
+    dx, dy = map(_ring_leaf, arr.lines[ell_index].direction())
     s, t = dx * dx + dy * dy, _ring_leaf(2 * max_area)
     if isinstance(t, Fraction):
         s, t = s * t.denominator, t.numerator
     along_x = exact_sign(dx) != 0
     d = dx if along_x else dy
-    keep, cols = [], []
-    for idx, line in enumerate(arr.lines):
-        a, b, c = map(_ring_leaf, line.coefficients())
-        w = a0 * b - a * b0
-        if idx == ell_index or not w:
-            continue
-        keep.append(idx)
-        u = b0 * c - b * c0 if along_x else c0 * a - c * a0
-        cols.append((u, w, dx * b - dy * a, -dx * a - dy * b))
-    u, w, dot, cr = np.array(cols, dtype=object).reshape(-1, 4).T
+    a, b, c = ring.T
+    w = b * a0 - a * b0
+    keep = np.flatnonzero(w.astype(bool))  # the lines crossing ell, ell itself not among them
+    a, b, c, w = a[keep], b[keep], c[keep], w[keep]
+    u = c * b0 - b * c0 if along_x else a * c0 - c * a0
+    dot, cr = b * dx - a * dy, -(a * dx) - b * dy
+    keep = keep.tolist()
     p, q = np.triu_indices(len(keep), 1)
     nx = u[p] * w[q] - u[q] * w[p]
     dxx = w[p] * w[q] * d
@@ -344,21 +344,27 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
         )
     )
 
+    # The sign of line g at the crossing of lines i and j, without the
+    # vertex: g.(l_i x l_j) = D(l_i, l_j, g) and the crossing's homogeneous
+    # weight is w_ij, so g's side there is sign(D)*sign(w_ij).
+    ring = ring_coefficients(arr)
+    c, w = ring[:, 2], _kernels.pair_weights(ring)
+    crossing = w.astype(bool)
+
+    def sides(i: int, j: int) -> np.ndarray:
+        return np.sign(coefficient_determinant(c[i], c[j], c, w[i, j], w[i], w[j])) * exact_sign(w[i, j])
+
     bad_interior = []
     max_triples = list(triples_with_area(arr, max_area, cen))
+    apex_sides = []  # each triple's lines i, j, k at the opposite vertex
     for (i, j, k) in max_triples:
-        tri = (arr.lines[i], arr.lines[j], arr.lines[k])
-        verts = [intersect(tri[0], tri[1]), intersect(tri[0], tri[2]), intersect(tri[1], tri[2])]
-        dirs = {t.direction() for t in tri}
-        for g in range(n):
-            if g in (i, j, k):
-                continue
-            lg = arr.lines[g]
-            if lg.direction() in dirs:
-                continue
-            signs = [exact_sign(lg.evaluate(v)) for v in verts]
-            if not (1 in signs and -1 in signs):
-                bad_interior.append((g, (i, j, k)))
+        sij, sik, sjk = sides(i, j), sides(i, k), sides(j, k)
+        # a line meets the open triangle when it separates two vertices;
+        # lines parallel to a side, the triangle's own among them, are skipped
+        meets = ((sij > 0) | (sik > 0) | (sjk > 0)) & ((sij < 0) | (sik < 0) | (sjk < 0))
+        misses = crossing[i] & crossing[j] & crossing[k] & ~meets
+        bad_interior += [(g, (i, j, k)) for g in np.flatnonzero(misses).tolist()]
+        apex_sides.append((sjk[i], sik[j], sij[k]))
     checks.append(
         CheckResult(
             name="interior_or_parallel_for_max_area",
@@ -380,18 +386,9 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
     else:
         side_bad = []
         for idx in range(n):
-            ell = arr.lines[idx]
-            side = 0
-            for (i, j, k) in max_triples:
-                if idx not in (i, j, k):
-                    continue
-                rest = [t for t in (i, j, k) if t != idx]
-                apex = intersect(arr.lines[rest[0]], arr.lines[rest[1]])
-                s = exact_sign(ell.evaluate(apex))
-                if side == 0:
-                    side = s
-                elif s != 0 and s != side:
-                    side_bad.append((idx, (i, j, k)))
+            # the side of each triangle on this line, none of them 0
+            on_line = [(t, s[t.index(idx)]) for t, s in zip(max_triples, apex_sides) if idx in t]
+            side_bad += [(idx, t) for t, s in on_line if s != on_line[0][1]]
         checks.append(
             CheckResult(
                 name="max_area_same_side_per_line",

@@ -24,7 +24,9 @@ table and block that do not fit, and once the first block shows the rate
 of new classes, classes that will not fit in the merge.  Counts, the
 memoised area ordering and its extremes, per-line counts, the triples of a
 given area, the bound checks and the colored triple system all read this
-one table.
+one table.  The facial triangles come from _kernels.crossing_ranks, on the
+int64 matrix or on ring_coefficients, the object matrix of peeled
+coefficients that the bound checks also read.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ from .arrangement import (
     CONCURRENT,
     PROPER,
     Arrangement,
-    _homogeneous_vertex,
     area_from_weights,
     choose_reference_frame,
     frame_params,
     pair_weight,
 )
-from .scalars import DEFAULT_PRECISION_BITS, Scalar, _bounds, _peel, exact_sign, is_rational
+from .scalars import DEFAULT_PRECISION_BITS, Scalar, _bounds, _peel, exact_sign, float_ratio, is_rational
 
 UNIT_AREA = Fraction(1)
 
@@ -58,11 +59,11 @@ CONCURRENT_ID = -1
 PARALLEL_ID = -2
 
 # triples per block of the int64 builder, and a bound on the bytes of one
-# block's temporaries per triple (kernel and grouping, with the previous
-# block's arrays still held; tracemalloc measures 120 on random blocks and
-# 47 on grid blocks, 65 and 43 without, doubled here for allocator slack)
+# block's temporaries per triple (kernel and grouping, each block's arrays
+# released before the next; tracemalloc measures 72 on random blocks and 44
+# on grid blocks, doubled here for allocator slack)
 BLOCK_TRIPLES = 2**16
-BLOCK_BYTES_PER_TRIPLE = 240
+BLOCK_BYTES_PER_TRIPLE = 144
 # a bound on the bytes per class entry of the blocks' merge (the (num, den,
 # count) buffer, _group's temporaries and the int32 class order the census
 # keeps: on random_arrangement(300), 4.4M entries, tracemalloc counts 75 with
@@ -139,13 +140,14 @@ class AreaCensus:
     def _order(self) -> np.ndarray:
         # class ids by increasing area
         if self.num is None:
-            # The key is the midpoint of each area's fixed-point enclosure,
-            # and disjoint enclosures prove a pair's order.
+            # The key is the midpoint of each area's fixed-point enclosure
+            # (infinite past the float range), and disjoint enclosures prove
+            # a pair's order.
             areas = self.areas
             bits = DEFAULT_PRECISION_BITS
             lo, hi = np.array([_bounds(a, bits) for a in areas], dtype=object).reshape(-1, 2).T
             return _certified_order(
-                ((lo + hi) / (1 << bits + 1)).astype(float),
+                np.array([float_ratio(a, 1) for a in areas], dtype=float),
                 lambda part: hi[part[:-1]] < lo[part[1:]],
                 lambda p, q: areas[p] < areas[q],
                 areas.__getitem__,
@@ -237,19 +239,27 @@ def _certified_order(
     return order
 
 
+def _ring_leaf(x: Scalar):
+    """x with zero tower layers peeled, and an integral rational as an int."""
+    x = _peel(x)
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+def ring_coefficients(arr: Arrangement) -> np.ndarray:
+    """The n x 3 numpy object matrix of the lines' coefficients as ring
+    elements (_ring_leaf): Python ints for rational input, whose canonical
+    lines have integer leaves, and peeled QuadExt values for towers."""
+    leaf = attrgetter("numerator") if arr.radicand is None else _ring_leaf
+    rows = [[leaf(x) for x in line.coefficients()] for line in arr.lines]
+    return np.array(rows, dtype=object).reshape(-1, 3)
+
+
 def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
-    """Canonical integer coefficient matrix, or None for irrational fields."""
+    """ring_coefficients as int64, or None for irrational fields and
+    entries of 2^62 or more."""
     if arr.radicand is not None:
         return None
-    rows = []
-    for line in arr.lines:
-        row = []
-        for coeff in line.coefficients():
-            if coeff.denominator != 1:  # canonical lines have integer leaves
-                return None
-            row.append(coeff.numerator)
-        rows.append(row)
-    mat = np.array(rows, dtype=object).reshape(-1, 3)
+    mat = ring_coefficients(arr)
     if (np.abs(mat) >= 2**62).any():
         return None
     return mat.astype(np.int64)
@@ -411,14 +421,16 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
         ids, first, order = _group(num, den)
         block[pos] = ids + found if found else ids
         num, den, count = num[first], den[first], np.bincount(ids, minlength=len(first))
+        del block, conc, pos, ids, first  # or they stay alive through the next block
         if merge:
-            end = found + len(first)
+            end = found + len(num)
             if end > classes.shape[1]:
                 grown = np.empty((3, max(end, 2 * classes.shape[1])), dtype=np.int64)
                 grown[:, :found] = classes[:, :found]
                 classes = grown
                 del grown  # or the name keeps the buffer alive to the end
             classes[:, found:end] = num, den, count
+            del num, den, count, order
             found = end
             if not t0:
                 # the first block's rate of new classes, over every triple,
@@ -507,32 +519,17 @@ def per_line_counts(
 
 def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
     """Proper triples realized as faces, in lexicographic order: no other
-    line meets the open triangle.  The crossing points along each line are
-    ranked on the int64 path when the gate allows, else with the scalars'
-    exact ``<``; _kernels.faces_from_ranks keeps the triples whose sides
-    join consecutive crossings."""
+    line meets the open triangle.  _kernels.crossing_ranks ranks the
+    crossing points along each line, on int64 columns when the gate allows
+    and on the ring_coefficients object columns otherwise, and
+    _kernels.faces_from_ranks keeps the triples whose sides join
+    consecutive crossings."""
     chosen, coeffs = _resolve_backend(arr, backend)
     if chosen == "exact":
-        faces = _kernels.faces_from_ranks(_crossing_ranks_exact(arr))
+        faces = _kernels.faces_from_ranks(_kernels.crossing_ranks(ring_coefficients(arr)))
     else:
         faces = _kernels.facial_int64(coeffs)
     return list(map(tuple, faces.tolist()))
-
-
-def _crossing_ranks_exact(arr: Arrangement) -> np.ndarray:
-    ranks = np.full((arr.n, arr.n), _kernels.NO_CROSSING, dtype=np.int64)
-    for i, li in enumerate(arr.lines):
-        where = {}  # parameter of each crossing along li
-        for j, lj in enumerate(arr.lines):
-            x, y, w = _homogeneous_vertex(li, lj)
-            if j != i and exact_sign(w) != 0:
-                where[j] = (li.a * y - li.b * x) / w
-        rank, prev = -1, None
-        for j in sorted(where, key=where.__getitem__):
-            if rank < 0 or where[j] != prev:
-                rank, prev = rank + 1, where[j]
-            ranks[i, j] = rank
-    return ranks
 
 
 def facial_triangle_count(arr: Arrangement, backend: str = "auto") -> int:

@@ -17,8 +17,8 @@ from itertools import combinations
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .arrangement import Arrangement, Line, intersect
-from .scalars import Scalar, exact_sign
+from .arrangement import Arrangement, Line, coefficient_determinant, pair_weight
+from .scalars import Scalar, _peel, exact_sign
 
 Matrix = List[List[Scalar]]
 
@@ -183,6 +183,7 @@ def five_tangent_conic(lines: Sequence[Line]) -> DualConic:
 
 
 QUADRANT_SIGNS = {1: (1, 1), 2: (1, -1), 3: (-1, -1), 4: (-1, 1)}
+QUADRANT_OF_SIGNS = {signs: q for q, signs in QUADRANT_SIGNS.items()}
 
 
 def equal_area_conic(
@@ -250,19 +251,16 @@ def _transpose3(m: Matrix) -> Matrix:
 
 def triangle_quadrant(l1: Line, l2: Line, g: Line) -> Optional[int]:
     """Quadrant (w.r.t. l1, l2) holding the triangle (l1, l2, g); None when
-    the triple is degenerate or g passes through l1 ^ l2."""
-    v1 = intersect(l2, g)
-    v2 = intersect(l1, g)
-    if v1 is None or v2 is None:
+    the triple is degenerate or g passes through l1 ^ l2.  With D the
+    coefficient determinant of (l1, l2, g) and w the pair weights, l1 has
+    the sign of D*w(l2, g) at l2 ^ g, and l2 that of -D*w(l1, g) at l1 ^ g."""
+    w1g, w2g = pair_weight(l1, g), pair_weight(l2, g)
+    if not (w1g and w2g):
         return None
-    s1 = exact_sign(l1.evaluate(v1))
-    s2 = exact_sign(l2.evaluate(v2))
-    if s1 == 0 or s2 == 0:
+    d = exact_sign(coefficient_determinant(_peel(l1.c), _peel(l2.c), _peel(g.c), pair_weight(l1, l2), w1g, w2g))
+    if d == 0:
         return None
-    for q, signs in QUADRANT_SIGNS.items():
-        if signs == (s1, s2):
-            return q
-    return None
+    return QUADRANT_OF_SIGNS[d * exact_sign(w2g), -d * exact_sign(w1g)]
 
 
 @dataclass

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import add, mul, neg, sub
 from typing import Optional, Tuple, Union
 
@@ -50,6 +50,19 @@ def _frac(x: Rat) -> Fraction:
 
 def is_rational(x: object) -> bool:
     return isinstance(x, (int, Fraction))
+
+
+def float_ratio(n: Scalar, d: Scalar) -> float:
+    """A float near n/d, for d >= 0: Python's correctly rounded ``n / d`` on
+    ints, and on the midpoints of the fixed-point enclosures (_bounds) of
+    other scalars, saturating to an infinity of n's sign where that raises
+    (a quotient past the float range, or d = 0)."""
+    if type(n) is not int or type(d) is not int:
+        n, d = sum(_bounds(n, DEFAULT_PRECISION_BITS)), sum(_bounds(d, DEFAULT_PRECISION_BITS))
+    try:
+        return n / d
+    except (OverflowError, ZeroDivisionError):
+        return inf if n >= 0 else -inf
 
 
 def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
@@ -97,9 +110,6 @@ class CertifiedInterval:
         hi = _rational_sqrt_bounds(self.upper.numerator, self.upper.denominator, bits)[1]
         return CertifiedInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
 
-    def contains_zero(self) -> bool:
-        return self.lower <= 0 <= self.upper
-
     def sign_or_none(self) -> Optional[int]:
         """Certified sign, or None when the bounds straddle zero."""
         if self.lower > 0:
@@ -113,9 +123,6 @@ class CertifiedInterval:
     def compare(self, other: "CertifiedInterval") -> Optional[int]:
         """-1, 0, +1 when certifiable, None when undecided."""
         return (self - other).sign_or_none()
-
-    def midpoint_float(self) -> float:
-        return float((self.lower + self.upper) / 2)
 
 
 class _Field:

@@ -27,7 +27,7 @@ from triarea import (
     trigrid,
     verify_arrangement,
 )
-from triarea.arrangement import frame_params, frame_scale
+from triarea.arrangement import frame_params, frame_scale, intersect
 from triarea.chain import max_chain
 from triarea.scalars import exact_sign
 
@@ -262,3 +262,54 @@ def test_remark_violations_never_fail_report():
     assert not rep.passed
     rep.checks[-1].skipped = True
     assert rep.passed
+
+
+def _side_witnesses_by_intersection(arr, triples):
+    """The witnesses of interior_or_parallel_for_max_area and of
+    max_area_same_side_per_line for these triangles, from their vertices
+    and Line.evaluate."""
+    interior = []
+    for i, j, k in triples:
+        tri = [arr.lines[t] for t in (i, j, k)]
+        verts = [intersect(tri[0], tri[1]), intersect(tri[0], tri[2]), intersect(tri[1], tri[2])]
+        for g, lg in enumerate(arr.lines):
+            if g not in (i, j, k) and not any(lg.is_parallel_to(t) for t in tri):
+                signs = [exact_sign(lg.evaluate(v)) for v in verts]
+                if not (1 in signs and -1 in signs):
+                    interior.append((g, (i, j, k)))
+    same_side = []
+    for g, lg in enumerate(arr.lines):
+        side = 0
+        for t in triples:
+            if g in t:
+                rest = [arr.lines[m] for m in t if m != g]
+                s = exact_sign(lg.evaluate(intersect(*rest)))
+                if side == 0:
+                    side = s
+                elif s != side:
+                    same_side.append((g, t))
+    return interior, same_side
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: random_arrangement(10, seed=2), pentagon, lambda: max_chain(1)], ids=["random", "pentagon", "max_chain1"]
+)
+@pytest.mark.parametrize("extreme", ["min_area", "max_area"])
+def test_side_checks_match_intersection_points(build, extreme):
+    # read as the maximum, the minimum-area (facial) triangles fail the
+    # interior check, and the pentagon's five also the same-side check, so
+    # the witnesses are compared too
+    arr = build()
+    cen = census(arr)
+    cen.__dict__["max_area"] = getattr(cen, extreme)
+    checks = {c.name: c for c in verify_arrangement(arr, cen).checks}
+    interior, same_side = _side_witnesses_by_intersection(arr, list(zip(*(x.tolist() for x in cen.triples(cen.max_area)))))
+    got = checks["interior_or_parallel_for_max_area"]
+    assert (got.passed, got.witnesses) == (not interior, interior[:5])
+    got = checks["max_area_same_side_per_line"]
+    if arr.has_parallel_pair():
+        assert got.skipped
+    else:
+        assert (got.passed, got.witnesses) == (not same_side, same_side[:5])
+    if extreme == "min_area":
+        assert interior and bool(same_side) == (build is pentagon)

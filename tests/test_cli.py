@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stdout
+from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -24,10 +25,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triarea import Arrangement, Line
-from triarea.census import AreaCensus, census
+from triarea.census import AreaCensus, census, facial_triangles
 from triarea.chain import max_chain
 from triarea.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_PARSE, main
 from triarea.scalars import format_scalar
+
+from test_census import oracle_facial_triangles
 
 TABLE_HEX = [1, 2, 3, 6, 7, 10, 13, 16, 19, 24]
 TABLE_TRI = [0, 1, 2, 4, 6, 8, 12, 14, 18, 22]
@@ -284,6 +287,54 @@ def test_census_outputs_pinned(construction, tmp_path, capsys):
         code, out, _ = run_cli(capsys, ["census", "--json", *flags, str(path)])
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+# sha256 and exit code of `census --facial --json` and of `verify
+# general-position --json --seed 7`, recorded while the exact facial test
+# still divided out every crossing and the concurrent triples came from
+# intersection points
+SIGN_SHA256 = {
+    (("max-chain", "-k", "1"), ("census", "--facial", "--json")): (
+        EXIT_OK, "0c4310fcf109c8552dcd2f609e53c61ab0be0aa76d47e03da9e2bd7b287064fd"
+    ),
+    (("pentagon",), ("census", "--facial", "--json")): (
+        EXIT_OK, "b86efedb9f040228b83d90a97e0609ee3725fac516a1a75178dd3910ccac2954"
+    ),
+    (("hexgrid", "-n", "30"), ("census", "--facial", "--json", "--backend", "exact")): (
+        EXIT_OK, "7d8503649872e649ee61787bbfd098984bfcfa1feef256314e367c05b870ffcd"
+    ),
+    (("max-chain", "-k", "1"), ("verify", "general-position", "--json", "--seed", "7")): (
+        EXIT_CHECK_FAILED, "3ac8f9df894e22d3f7c921bd09e0ff829afb6c8aa341674ab1ec92f80e76b16a"
+    ),
+    (("trigrid", "-n", "9"), ("verify", "general-position", "--json", "--seed", "7")): (
+        EXIT_CHECK_FAILED, "5f662f09f5d2ed980aeda4665cade50aff14030b754f1b4eedeb87a162b91760"
+    ),
+}
+
+
+@pytest.mark.parametrize("construction, command", SIGN_SHA256, ids=lambda c: "-".join(c[:2]))
+def test_sign_predicate_outputs_pinned(construction, command, tmp_path, capsys):
+    path = tmp_path / "input.lines"
+    code, _, _ = run_cli(capsys, ["generate", *construction, "-o", str(path)])
+    assert code == EXIT_OK
+    code, out, _ = run_cli(capsys, [*command, str(path)])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SIGN_SHA256[construction, command]
+
+
+def test_areas_past_the_float_range(tmp_path, capsys):
+    # areas near 10^400 overflow a float: the class order's key saturates,
+    # and the exact comparisons order the classes
+    path = tmp_path / "big.lines"
+    path.write_text(f"1 0 0\n0 1 0\n1 1 -{10**200}\n1 -1 -3\n")
+    for argv in (["census", "--json"], ["census", "--facial", "--json"], ["verify", "bounds", "--json"]):
+        code, out, err = run_cli(capsys, [*argv, str(path)])
+        assert (code, err) == (EXIT_OK, "")
+        results = json.loads(out)["results"]
+        if "areas" in results:
+            areas = [Fraction(row["area"]) for row in results["areas"]]
+            assert areas == sorted(set(areas)) and len(areas) == 4
+    arr = Arrangement.load(str(path))
+    assert facial_triangles(arr) == oracle_facial_triangles(arr)
 
 
 # sha256 of `extract-distinct --json` (greedy and sample-delete) and of

@@ -3,12 +3,15 @@ general-position validation."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 
 from triarea.arrangement import Arrangement, Line, intersect, triple_area
+from triarea.chain import max_chain
 from triarea.conics import (
+    QUADRANT_SIGNS,
     DualConic,
     UNIT_CIRCLE_DUAL,
     det_exact,
@@ -23,6 +26,8 @@ from triarea.conics import (
 )
 from triarea.constructions import random_arrangement, random_general_position
 from triarea.scalars import QuadExt, exact_sign
+
+from test_census import CASES
 
 
 def frac_det3(m):
@@ -196,3 +201,40 @@ def test_per_pair_area_count_bound_in_general_position():
                 q = triangle_quadrant(lines[i], lines[j], lines[k])
                 per_quadrant[q] = per_quadrant.get(q, 0) + 1
             assert all(v <= 5 for v in per_quadrant.values())
+
+
+def _concurrent_by_intersection(arr):
+    """Concurrent triples as found before the sign predicates: the third
+    line through the intersection point of the first two."""
+    out = []
+    for i, j, k in combinations(range(arr.n), 3):
+        p = intersect(arr.lines[i], arr.lines[j])
+        if p is None or intersect(arr.lines[i], arr.lines[k]) is None or intersect(arr.lines[j], arr.lines[k]) is None:
+            continue
+        if exact_sign(arr.lines[k].evaluate(p)) == 0:
+            out.append((i, j, k))
+    return out
+
+
+def _quadrant_by_intersection(l1, l2, g):
+    """triangle_quadrant from the vertices l2 ^ g and l1 ^ g."""
+    v1, v2 = intersect(l2, g), intersect(l1, g)
+    if v1 is None or v2 is None:
+        return None
+    signs = (exact_sign(l1.evaluate(v1)), exact_sign(l2.evaluate(v2)))
+    return None if 0 in signs else {s: q for q, s in QUADRANT_SIGNS.items()}[signs]
+
+
+_chain_one = cache(lambda: max_chain(1))
+
+
+@pytest.mark.parametrize(
+    "build", [*(lambda a=a: a for a in CASES), _chain_one, lambda: Arrangement(_chain_one().lines[:7])],
+    ids=[*(f"n{a.n}-{a.field_name()}" for a in CASES), "max_chain1", "max_chain1-first7"],
+)
+def test_sign_predicates_match_intersection_points(build):
+    arr = build()
+    assert arr.concurrent_triples() == _concurrent_by_intersection(arr)
+    lines = arr.lines if arr.n <= 12 else arr.lines[::2]
+    for l1, l2, g in permutations(lines, 3):
+        assert triangle_quadrant(l1, l2, g) == _quadrant_by_intersection(l1, l2, g)

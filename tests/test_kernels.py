@@ -11,13 +11,16 @@ import pytest
 from triarea import _kernels
 from triarea.arrangement import CONCURRENT, PROPER, Arrangement, Line, area_from_weights
 from triarea.census import (
-    _crossing_ranks_exact,
     census,
     facial_triangles,
     integer_coefficients,
+    ring_coefficients,
     select_backend,
 )
 from triarea.constructions import hexgrid, random_arrangement, trigrid
+from triarea.scalars import QuadExt
+
+from test_census import oracle_facial_triangles
 
 
 def _coeffs(arr):
@@ -49,21 +52,80 @@ def test_combo_rank_inverts_combo_index_arrays(n):
         assert int(_kernels.combo_rank(n, n - 1, n - 2, n - 3)) == len(every) - 1
 
 
+NC = _kernels.NO_CROSSING
+
+
 def test_crossing_order_repairs_float_ties():
     # inside the int64 gate distinct crossings always get distinct float
     # keys; these coefficients are outside it, so that on y = 0 the crossings
     # x = 2^53 and x = 2^53 + 1 share a float key and the stable sort leaves
-    # them in index order, which the exact check must repair
+    # them in index order, which the exact check must repair (likewise on
+    # x + y = 0).  Line i = (a, b, c) puts its crossing (x, y) at a*y - b*x.
     big = 2**53
     arr = Arrangement(
         [Line(0, 1, 0), Line(1, 0, -big), Line(1, 0, -big - 1), Line(1, 1, 0), Line(1, -1, 3)]
     )
+    want = [
+        [NC, 1, 0, 2, 3],  # -x: -2^53, -2^53 - 1, 0, 3
+        [1, NC, NC, 0, 2],  # y: 0, -2^53, 2^53 + 3
+        [1, NC, NC, 0, 2],  # y: 0, -2^53 - 1, 2^53 + 4
+        [2, 1, 0, NC, 3],  # y - x: 0, -2^54, -2^54 - 2, 3
+        [0, 2, 3, 1, NC],  # y + x: -3, 2^54 + 3, 2^54 + 5, 0
+    ]
     coeffs = _coeffs(arr)
     assert not _kernels.int64_safe(coeffs)
-    ranks = _kernels.crossing_ranks_int64(coeffs)
-    assert np.array_equal(ranks, _crossing_ranks_exact(arr))
-    faces = _kernels.faces_from_ranks(ranks).tolist()
-    assert [tuple(f) for f in faces] == facial_triangles(arr, backend="exact")
+    faces = oracle_facial_triangles(arr)
+    assert facial_triangles(arr, backend="exact") == faces
+    for cols in (coeffs, coeffs.astype(object)):
+        ranks = _kernels.crossing_ranks(cols)
+        assert ranks.tolist() == want
+        assert [tuple(f) for f in _kernels.faces_from_ranks(ranks).tolist()] == faces
+
+
+@pytest.mark.parametrize("arr", [hexgrid(30), trigrid(31), random_arrangement(40, seed=3)], ids=["hex", "tri", "random"])
+def test_object_columns_rank_like_int64(arr):
+    coeffs = _coeffs(arr)
+    assert _kernels.int64_safe(coeffs)
+    assert np.array_equal(_kernels.crossing_ranks(ring_coefficients(arr)), _kernels.crossing_ranks(coeffs))
+
+
+def _count_exact_orders(monkeypatch):
+    calls = []
+    exact_order = _kernels._exact_order
+    monkeypatch.setattr(_kernels, "_exact_order", lambda *row: calls.append(0) or exact_order(*row))
+    return calls
+
+
+def test_tower_crossing_order_reaches_the_exact_sort(monkeypatch):
+    # x = 2^53 + sqrt 5 - 2 and x = 2^53 cross x - y = 0 at parameters
+    # 2x that round to one float; listed larger first, the stable sort
+    # misorders them and only the exact re-sort repairs the row
+    big = 2**53
+    root5 = QuadExt(Fraction(0), Fraction(1), Fraction(5))
+    arr = Arrangement(
+        [Line(1, 0, -(big - 2 + root5)), Line(1, 0, -big), Line(0, 1, 0), Line(1, -1, 0), Line(1, 1, -3)]
+    )
+    assert arr.radicand is not None
+    calls = _count_exact_orders(monkeypatch)
+    ranks = _kernels.crossing_ranks(ring_coefficients(arr))
+    assert calls
+    assert ranks[3].tolist() == [3, 2, 0, NC, 1]  # 2x: 2^54 + 2*sqrt 5 - 4, 2^54, 0, 3
+    assert facial_triangles(arr) == oracle_facial_triangles(arr)
+
+
+def test_crossing_keys_past_the_float_range_take_the_exact_sort(monkeypatch):
+    # x - y + 3 = 0 meets x = 10^400 at parameter 2x + 3, whose int / int
+    # would raise OverflowError; its saturated key is inf, like that of the
+    # parallel x - y = 0 listed before it, so only the exact sort ranks it
+    # after the crossings at -3 (y = 0) and 0 (x + y = 0)
+    big = 10**400
+    arr = Arrangement([Line(0, 1, 0), Line(1, -1, 3), Line(1, -1, 0), Line(1, 0, -big), Line(1, 1, 0)])
+    assert integer_coefficients(arr) is None
+    calls = _count_exact_orders(monkeypatch)
+    ranks = _kernels.crossing_ranks(ring_coefficients(arr))
+    assert calls
+    assert ranks[1].tolist() == [0, NC, NC, 2, 1]
+    assert facial_triangles(arr) == oracle_facial_triangles(arr)
 
 
 def test_status_codes_match_exact():
