@@ -149,7 +149,12 @@ def build_gell_graphs(
         max_area = census(arr).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
-    ring = ring_coefficients(arr)
+    return _gell_graph(arr, ring_coefficients(arr), ell_index, max_area)
+
+
+def _gell_graph(arr: Arrangement, ring: np.ndarray, ell_index: int, max_area: Scalar) -> GellGraph:
+    """build_gell_graphs on the coefficient matrix ``ring``, built once per
+    arrangement by the caller."""
     a0, b0, c0 = ring[ell_index]
     dx, dy = map(_ring_leaf, arr.lines[ell_index].direction())
     s, t = dx * dx + dy * dy, _ring_leaf(2 * max_area)
@@ -316,11 +321,12 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
         )
     )
 
+    ring = ring_coefficients(arr)
     cycle_witness = []
     mismatch = []
     remark_viol: List[Tuple[int, int]] = []
     for idx in range(n):
-        gg = build_gell_graphs(arr, idx, max_area=max_area)
+        gg = _gell_graph(arr, ring, idx, max_area)
         for tag, edges in (("plus", gg.e_plus), ("minus", gg.e_minus)):
             cyc = find_cycle(gg.vertices, edges)
             if cyc is not None:
@@ -347,7 +353,6 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
     # The sign of line g at the crossing of lines i and j, without the
     # vertex: g.(l_i x l_j) = D(l_i, l_j, g) and the crossing's homogeneous
     # weight is w_ij, so g's side there is sign(D)*sign(w_ij).
-    ring = ring_coefficients(arr)
     c, w = ring[:, 2], _kernels.pair_weights(ring)
     crossing = w.astype(bool)
 

@@ -17,7 +17,9 @@ same maximum area A:
  3. Slide K's image horizontally to the first parameter where some mixed
     triple reaches area A (smallest positive root of the per-triple
     quadratics; roots may require adjoining a square root to the scalar
-    field).
+    field).  Integer bounds on each triple's two roots filter the triples
+    first, so exact roots are found only for those whose enclosures can
+    hold the smallest one.
  4. Slide again along the contact triangle's own anchor line, which keeps
     that triangle rigid, until a second mixed triple reaches A.
 
@@ -49,6 +51,7 @@ from .scalars import (
     QuadExt,
     Scalar,
     _bounds,
+    _isqrt_bounds,
     _peel,
     exact_sign,
     lift_to,
@@ -401,6 +404,25 @@ def _cross_triples(nl: int, nk: int):
             yield ((i,), (g, h))
 
 
+def _candidate_bounds(d0: Scalar, d1: Scalar, den: Scalar, t_lo: int, t_hi: int):
+    """Integer enclosures (lo, hi, e_lo, e_hi) of the two real contact roots
+    (c +- s)/e, with c = -d0*sign(d1), s = sqrt(|den|*target) and e = |d1|,
+    all scaled by 2^DEFAULT_PRECISION_BITS: a root lies in [lo/e_hi, hi/e_lo]
+    when lo > 0, and is <= 0 when hi <= 0.  None when the bounds of d1 or
+    den leave their signs open."""
+    w_lo, w_hi = _bounds(den, DEFAULT_PRECISION_BITS)
+    e_lo, e_hi = _bounds(d1, DEFAULT_PRECISION_BITS)
+    if w_lo <= 0 <= w_hi or e_lo <= 0 <= e_hi:
+        return None
+    c_lo, c_hi = _bounds(d0, DEFAULT_PRECISION_BITS)
+    if e_lo > 0:
+        c_lo, c_hi = -c_hi, -c_lo
+    w_lo, w_hi = sorted(map(abs, (w_lo, w_hi)))
+    e_lo, e_hi = sorted(map(abs, (e_lo, e_hi)))
+    s_lo, s_hi = _isqrt_bounds(w_lo * max(t_lo, 0), w_hi * t_hi)
+    return (c_lo + s_lo, c_hi + s_hi, e_lo, e_hi), (c_lo - s_hi, c_hi - s_lo, e_lo, e_hi)
+
+
 def _first_contact(
     lines_l: Sequence[Line],
     lines_k: Sequence[Line],
@@ -410,10 +432,14 @@ def _first_contact(
     field: Scalar,
 ) -> Tuple[_Root, Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Smallest positive slide parameter at which a mixed triple reaches
-    double area +-2*max_area, with the witnessing triple."""
+    double area +-2*max_area, with the witnessing triple.
+
+    Exact roots are found only for triples with a root that may be positive
+    and at most U, the smallest upper end of the certainly positive root
+    enclosures, or with undecided bounds.  Every triple holding the smallest
+    root is kept, so on ties the earliest triple still wins."""
     target = 2 * max_area
-    best: Optional[_Root] = None
-    best_triple = None
+    t_bounds = _bounds(target, DEFAULT_PRECISION_BITS)
     weights = {}  # a slide keeps a and b, so each pair's weight holds throughout
 
     def weight(l1: Line, l2: Line) -> Scalar:
@@ -422,18 +448,31 @@ def _first_contact(
             w = weights[id(l1), id(l2)] = pair_weight(l1, l2)
         return w
 
+    slides = []
+    u_num, u_den = 1, 0  # U as a fraction, +infinity until a root is certainly positive
     for (il, ik) in _cross_triples(len(lines_l), len(lines_k)):
         fixed = [lines_k[g] for g in ik]
         moving = [lines_l[i] for i in il]
         slide = _slide_determinant(fixed, moving, vx, vy, weight)
         if slide is None or not slide[1]:
             continue  # parallel pair, or rigid under this slide
+        cands = _candidate_bounds(*slide, *t_bounds)
+        slides.append(((il, ik), slide, cands))
+        for lo, hi, e_lo, _ in cands or ():
+            if lo > 0 and hi * u_den < u_num * e_lo:
+                u_num, u_den = hi, e_lo
+
+    best: Optional[_Root] = None
+    best_triple = None
+    for triple, slide, cands in slides:
+        if cands is not None and not any(hi > 0 and lo * u_den <= u_num * e_hi for lo, hi, _, e_hi in cands):
+            continue
         for root in _contact_roots(*slide, target, field):
             if _root_sign(root) <= 0:
                 continue
             if best is None or _roots_compare(root, best) < 0:
                 best = root
-                best_triple = (il, ik)
+                best_triple = triple
     if best is None:
         raise ChainError("slide never reaches the maximum area")
     return best, best_triple

@@ -27,6 +27,7 @@ from triarea import (
     trigrid,
     verify_arrangement,
 )
+import triarea.bounds as bounds
 from triarea.arrangement import frame_params, frame_scale, intersect
 from triarea.chain import max_chain
 from triarea.scalars import exact_sign
@@ -226,6 +227,13 @@ def test_verify_accepts_precomputed_census():
     a = verify_arrangement(arr)
     b = verify_arrangement(arr, cen=cen)
     assert [c.passed for c in a.checks] == [c.passed for c in b.checks]
+
+
+def test_verify_builds_the_coefficient_matrix_once(monkeypatch):
+    build, built = bounds.ring_coefficients, []
+    monkeypatch.setattr(bounds, "ring_coefficients", lambda arr: built.append(arr.n) or build(arr))
+    assert verify_arrangement(random_general_position(12, seed=3)).passed
+    assert built == [12]
 
 
 def test_same_side_check_skipped_with_parallels():

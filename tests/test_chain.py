@@ -2,10 +2,11 @@
 triangles.
 
 Each round glues a fresh pentagon onto the arrangement so that the shared
-maximum area gains seven more witnesses.  One round costs a few seconds of
-exact arithmetic; deeper chains run in the acceptance suite only.
+maximum area gains seven more witnesses.  One round costs well under a
+tenth of a second of exact arithmetic, and three rounds about two seconds.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,8 +27,11 @@ from triarea import (
     pentagon_max_area,
     triple_area,
 )
+import triarea.chain as chain
 from triarea.chain import _contact_roots, _cross_triples, _first_contact, _place_parts, _slide_determinant
 from triarea.scalars import exact_sign, lift_to, sqrt_exact
+
+from test_cli import MAX_CHAIN_1_SHA256
 
 
 def test_pentagon_max_area_value():
@@ -86,6 +90,15 @@ def test_combine_preserves_part_areas():
             assert status == PROPER
             got.append(area)
         assert sorted(got) == sorted(base.values())
+
+
+def test_three_rounds():
+    arr = max_chain(3)
+    assert arr.n == 20
+    cen = census(arr)
+    assert cen.parallel_count == 0
+    assert exact_sign(cen.max_area - pentagon_max_area()) == 0
+    assert cen.count(cen.max_area) == 5 + 7 * 3
 
 
 def test_serialization_round_trip():
@@ -219,3 +232,106 @@ def test_precision_env_sets_first_root_comparison():
     env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout.split() == ["-1", "8"], out.stderr
+
+
+def first_contact_unfiltered(lines_l, lines_k, vx, vy, max_area, field):
+    """Oracle: the first contact from the exact roots of every mixed triple,
+    the smallest positive one kept (the earliest triple on ties)."""
+    target = 2 * max_area
+    best = best_triple = None
+    for il, ik in _cross_triples(len(lines_l), len(lines_k)):
+        slide = _slide_determinant([lines_k[g] for g in ik], [lines_l[i] for i in il], vx, vy)
+        if slide is None or not slide[1]:
+            continue
+        for root in _contact_roots(*slide, target, field):
+            if chain._root_sign(root) > 0 and (best is None or chain._roots_compare(root, best) < 0):
+                best, best_triple = root, (il, ik)
+    return best, best_triple
+
+
+def root_text(root):
+    return repr(root.alpha), repr(root.beta), repr(root.rad)
+
+
+@pytest.fixture
+def contact_calls(monkeypatch):
+    """The slides (d0, d1, den) that reach the exact root finder."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args[:3])
+        return _contact_roots(*args)
+
+    monkeypatch.setattr(chain, "_contact_roots", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def max_chain_2_slides():
+    """The arguments of every first-contact search in building max_chain(2):
+    the two slides of max_chain(1)'s round, then the two of the next round."""
+    slides = []
+
+    def recording(*args):
+        slides.append(args)
+        return _first_contact(*args)
+
+    chain._first_contact = recording
+    try:
+        max_chain(2)
+    finally:
+        chain._first_contact = _first_contact
+    assert len(slides) == 4
+    return slides
+
+
+def test_filtered_first_contact_matches_unfiltered(max_chain_2_slides, contact_calls):
+    for args in max_chain_2_slides:
+        want_root, want_triple = first_contact_unfiltered(*args)
+        del contact_calls[:]
+        root, triple = _first_contact(*args)
+        assert (root_text(root), triple) == (root_text(want_root), want_triple)
+        assert 1 <= len(contact_calls) <= 2
+
+
+def tied_slide():
+    """Two lines sliding right past two fixed ones, all four symmetric under
+    y -> -y: triples swapped by the mirror reach the maximum area together."""
+    lines_l = [Line(Fraction(1), Fraction(-1), Fraction(0)), Line(Fraction(1), Fraction(1), Fraction(0))]
+    lines_k = [Line(Fraction(2), Fraction(-1), Fraction(-10)), Line(Fraction(2), Fraction(1), Fraction(-10))]
+    return lines_l, lines_k, Fraction(1), Fraction(0), Fraction(1), Fraction(1)
+
+
+def test_exact_tie_goes_to_the_earlier_triple(contact_calls):
+    root, triple = _first_contact(*tied_slide())
+    want_root, want_triple = first_contact_unfiltered(*tied_slide())
+    assert triple == want_triple == ((0,), (0, 1))
+    assert root_text(root) == root_text(want_root)
+    # both mirror triples hold the smallest root, so both pass the filter;
+    # the other mirror pair's roots are certainly later
+    assert [c[1] for c in contact_calls] == [Fraction(-4)] * 2
+
+
+def test_undecided_bounds_keep_the_triple(monkeypatch, contact_calls):
+    bounds = chain._bounds
+
+    def straddling(x, bits):
+        # the slide rate d1 = 4 of triples ((0, 1), (g,)) gets bounds that
+        # include 0, as a tiny nonzero rate would
+        return (-1, 1) if isinstance(x, Fraction) and x == 4 else bounds(x, bits)
+
+    monkeypatch.setattr(chain, "_bounds", straddling)
+    root, triple = _first_contact(*tied_slide())
+    want_root, want_triple = first_contact_unfiltered(*tied_slide())
+    assert (root_text(root), triple) == (root_text(want_root), want_triple)
+    assert [c[1] for c in contact_calls] == [Fraction(4), Fraction(4), Fraction(-4), Fraction(-4)]
+
+
+def test_coarse_precision_keeps_chain_bytes():
+    env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+    out = subprocess.run(
+        [sys.executable, "-m", "triarea.cli", "generate", "max-chain", "-k", "1"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == MAX_CHAIN_1_SHA256
