@@ -138,23 +138,19 @@ def build_gell_graphs(
     s = dx^2 + dy^2, so it is an edge exactly when NY != 0 and
     |s*NX^2*DY| = |2*max_area*NY*DX^2|, that is when the two products are
     equal or opposite: no division, and no sign per pair.  All pairs are
-    tested at once on numpy object arrays of ring elements (Python ints for
-    rational input, with the denominator of 2*max_area folded into s;
-    peeled QuadExt values for towers).  Exact signs are taken only on the
-    edges: an edge is plus when sign(NX)*sign(DX) = sign(NY)*sign(DY).  The
-    test never reads the census table, so the edge totals are an
-    independent check of it.
+    tested at once on the columns of the arrangement's cached
+    ring_coefficients (Python ints for rational input, with the denominator
+    of 2*max_area folded into s; peeled QuadExt values for towers), so the
+    per-line calls of verify_arrangement share one matrix.  Exact signs are
+    taken only on the edges: an edge is plus when sign(NX)*sign(DX) =
+    sign(NY)*sign(DY).  The test never reads the census table, so the edge
+    totals are an independent check of it.
     """
     if max_area is None:
         max_area = census(arr).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
-    return _gell_graph(arr, ring_coefficients(arr), ell_index, max_area)
-
-
-def _gell_graph(arr: Arrangement, ring: np.ndarray, ell_index: int, max_area: Scalar) -> GellGraph:
-    """build_gell_graphs on the coefficient matrix ``ring``, built once per
-    arrangement by the caller."""
+    ring = ring_coefficients(arr)
     a0, b0, c0 = ring[ell_index]
     dx, dy = map(_ring_leaf, arr.lines[ell_index].direction())
     s, t = dx * dx + dy * dy, _ring_leaf(2 * max_area)
@@ -321,12 +317,11 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
         )
     )
 
-    ring = ring_coefficients(arr)
     cycle_witness = []
     mismatch = []
     remark_viol: List[Tuple[int, int]] = []
     for idx in range(n):
-        gg = _gell_graph(arr, ring, idx, max_area)
+        gg = build_gell_graphs(arr, idx, max_area)
         for tag, edges in (("plus", gg.e_plus), ("minus", gg.e_minus)):
             cyc = find_cycle(gg.vertices, edges)
             if cyc is not None:
@@ -353,6 +348,7 @@ def verify_arrangement(arr: Arrangement, cen: Optional[AreaCensus] = None) -> Bo
     # The sign of line g at the crossing of lines i and j, without the
     # vertex: g.(l_i x l_j) = D(l_i, l_j, g) and the crossing's homogeneous
     # weight is w_ij, so g's side there is sign(D)*sign(w_ij).
+    ring = ring_coefficients(arr)
     c, w = ring[:, 2], _kernels.pair_weights(ring)
     crossing = w.astype(bool)
 

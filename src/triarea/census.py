@@ -24,9 +24,10 @@ table and block that do not fit, and once the first block shows the rate
 of new classes, classes that will not fit in the merge.  Counts, the
 memoised area ordering and its extremes, per-line counts, the triples of a
 given area, the bound checks and the colored triple system all read this
-one table.  The facial triangles come from _kernels.crossing_ranks, on the
-int64 matrix or on ring_coefficients, the object matrix of peeled
-coefficients that the bound checks also read.
+one table.  The coefficient matrix (ring_coefficients) and its int64 copy
+when the gate passes are built once per arrangement, cached on it and
+read-only: select_backend reads the gate from them, and the census, the
+facial triangles (_kernels.crossing_ranks) and the bound checks read them.
 """
 
 from __future__ import annotations
@@ -248,42 +249,44 @@ def _ring_leaf(x: Scalar):
 def ring_coefficients(arr: Arrangement) -> np.ndarray:
     """The n x 3 numpy object matrix of the lines' coefficients as ring
     elements (_ring_leaf): Python ints for rational input, whose canonical
-    lines have integer leaves, and peeled QuadExt values for towers."""
+    lines have integer leaves, and peeled QuadExt values for towers.  It is
+    built once per arrangement (_ring_matrix), cached on it and read-only."""
+    if not hasattr(arr, "_ring"):
+        arr._ring = _ring_matrix(arr)
+        arr._ring.flags.writeable = False
+    return arr._ring
+
+
+def _ring_matrix(arr: Arrangement) -> np.ndarray:
     leaf = attrgetter("numerator") if arr.radicand is None else _ring_leaf
     rows = [[leaf(x) for x in line.coefficients()] for line in arr.lines]
     return np.array(rows, dtype=object).reshape(-1, 3)
 
 
-def integer_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
-    """ring_coefficients as int64, or None for irrational fields and
-    entries of 2^62 or more."""
-    if arr.radicand is not None:
-        return None
-    mat = ring_coefficients(arr)
-    if (np.abs(mat) >= 2**62).any():
-        return None
-    return mat.astype(np.int64)
+def _int64_coefficients(arr: Arrangement) -> Optional[np.ndarray]:
+    """ring_coefficients as int64 when the input is rational and passes the
+    int64 gate, else None: decided once per arrangement, cached on it, and
+    read-only.  The gate bounds every entry below 2^31, so the cast is exact."""
+    if not hasattr(arr, "_int64"):
+        arr._int64 = None
+        if arr.radicand is None and _kernels.int64_safe(ring_coefficients(arr)):
+            arr._int64 = ring_coefficients(arr).astype(np.int64)
+            arr._int64.flags.writeable = False
+    return arr._int64
 
 
 def select_backend(arr: Arrangement, backend: str = "auto") -> str:
     """Resolve 'auto' to 'numpy' when the input passes the int64 gate, else
-    to 'exact'."""
-    return _resolve_backend(arr, backend)[0]
-
-
-def _resolve_backend(arr: Arrangement, backend: str) -> Tuple[str, Optional[np.ndarray]]:
-    """select_backend, with the integer coefficient matrix it tested (None
-    on the exact path), so that callers build the matrix once."""
+    to 'exact'; 'numpy' past the gate raises ValueError."""
     if backend == "exact":
-        return "exact", None
+        return "exact"
     if backend not in ("auto", "numpy"):
         raise ValueError(f"unknown backend {backend!r}")
-    coeffs = integer_coefficients(arr)
-    if coeffs is not None and _kernels.int64_safe(coeffs):
-        return "numpy", coeffs
+    if _int64_coefficients(arr) is not None:
+        return "numpy"
     if backend == "numpy":
         raise ValueError("backend 'numpy' needs int64-safe integer input")
-    return "exact", None
+    return "exact"
 
 
 def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
@@ -295,7 +298,7 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
     one block, do not fit, and after the first block when the classes to
     merge will not.
     """
-    chosen, coeffs = _resolve_backend(arr, backend)
+    chosen = select_backend(arr, backend)
     triples = comb(arr.n, 3)
     if chosen == "exact":
         check_memory(arr.n, 4 * triples, f"{triples} triples at 4 bytes each")
@@ -303,7 +306,7 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
         return AreaCensus(arr.n, class_ids, chosen, tally, areas=areas)
     block = BLOCK_BYTES_PER_TRIPLE * min(triples, BLOCK_TRIPLES)
     check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
-    num, den, class_ids, tally, order = _classify_int64(coeffs)
+    num, den, class_ids, tally, order = _classify_int64(_int64_coefficients(arr))
     return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den, order=order)
 
 
@@ -507,13 +510,11 @@ def triples_with_area(
     return zip(*(x.tolist() for x in cen.triples(area)))
 
 
-def per_line_counts(
-    arr: Arrangement, area: Scalar, backend: str = "auto", cen: Optional[AreaCensus] = None
-) -> List[int]:
+def per_line_counts(arr: Arrangement, area: Scalar, cen: Optional[AreaCensus] = None) -> List[int]:
     """For each line, how many triangles of the given area use it, read from
     ``cen`` (the arrangement's census, built here when not given)."""
     if cen is None:
-        cen = census(arr, backend)
+        cen = census(arr)
     return np.bincount(np.concatenate(cen.triples(area)), minlength=arr.n).tolist()
 
 
@@ -524,11 +525,10 @@ def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
     and on the ring_coefficients object columns otherwise, and
     _kernels.faces_from_ranks keeps the triples whose sides join
     consecutive crossings."""
-    chosen, coeffs = _resolve_backend(arr, backend)
-    if chosen == "exact":
+    if select_backend(arr, backend) == "exact":
         faces = _kernels.faces_from_ranks(_kernels.crossing_ranks(ring_coefficients(arr)))
     else:
-        faces = _kernels.facial_int64(coeffs)
+        faces = _kernels.facial_int64(_int64_coefficients(arr))
     return list(map(tuple, faces.tolist()))
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -404,21 +404,22 @@ def _cross_triples(nl: int, nk: int):
             yield ((i,), (g, h))
 
 
-def _candidate_bounds(d0: Scalar, d1: Scalar, den: Scalar, t_lo: int, t_hi: int):
+def _candidate_bounds(d0: Scalar, d1: Scalar, den: Scalar, target: Scalar, bits: int):
     """Integer enclosures (lo, hi, e_lo, e_hi) of the two real contact roots
     (c +- s)/e, with c = -d0*sign(d1), s = sqrt(|den|*target) and e = |d1|,
-    all scaled by 2^DEFAULT_PRECISION_BITS: a root lies in [lo/e_hi, hi/e_lo]
-    when lo > 0, and is <= 0 when hi <= 0.  None when the bounds of d1 or
-    den leave their signs open."""
-    w_lo, w_hi = _bounds(den, DEFAULT_PRECISION_BITS)
-    e_lo, e_hi = _bounds(d1, DEFAULT_PRECISION_BITS)
+    all scaled by 2^bits: a root lies in [lo/e_hi, hi/e_lo] when lo > 0,
+    and is <= 0 when hi <= 0.  None when the bounds of d1 or den leave
+    their signs open."""
+    w_lo, w_hi = _bounds(den, bits)
+    e_lo, e_hi = _bounds(d1, bits)
     if w_lo <= 0 <= w_hi or e_lo <= 0 <= e_hi:
         return None
-    c_lo, c_hi = _bounds(d0, DEFAULT_PRECISION_BITS)
+    c_lo, c_hi = _bounds(d0, bits)
     if e_lo > 0:
         c_lo, c_hi = -c_hi, -c_lo
     w_lo, w_hi = sorted(map(abs, (w_lo, w_hi)))
     e_lo, e_hi = sorted(map(abs, (e_lo, e_hi)))
+    t_lo, t_hi = _bounds(target, bits)
     s_lo, s_hi = _isqrt_bounds(w_lo * max(t_lo, 0), w_hi * t_hi)
     return (c_lo + s_lo, c_hi + s_hi, e_lo, e_hi), (c_lo - s_hi, c_hi - s_lo, e_lo, e_hi)
 
@@ -436,37 +437,37 @@ def _first_contact(
 
     Exact roots are found only for triples with a root that may be positive
     and at most U, the smallest upper end of the certainly positive root
-    enclosures, or with undecided bounds.  Every triple holding the smallest
-    root is kept, so on ties the earliest triple still wins."""
+    enclosures, or with undecided bounds.  While more than one triple
+    survives, they are filtered again at doubled precision, with U taken
+    from their own enclosures, up to 16 times DEFAULT_PRECISION_BITS.  Every
+    triple holding the smallest root is kept, in order, so on ties the
+    earliest triple still wins."""
     target = 2 * max_area
-    t_bounds = _bounds(target, DEFAULT_PRECISION_BITS)
-    weights = {}  # a slide keeps a and b, so each pair's weight holds throughout
-
-    def weight(l1: Line, l2: Line) -> Scalar:
-        w = weights.get((id(l1), id(l2)))
-        if w is None:
-            w = weights[id(l1), id(l2)] = pair_weight(l1, l2)
-        return w
-
+    weight = cache(pair_weight)  # a slide keeps a and b, so each pair's weight holds throughout
     slides = []
-    u_num, u_den = 1, 0  # U as a fraction, +infinity until a root is certainly positive
     for (il, ik) in _cross_triples(len(lines_l), len(lines_k)):
         fixed = [lines_k[g] for g in ik]
         moving = [lines_l[i] for i in il]
         slide = _slide_determinant(fixed, moving, vx, vy, weight)
-        if slide is None or not slide[1]:
-            continue  # parallel pair, or rigid under this slide
-        cands = _candidate_bounds(*slide, *t_bounds)
-        slides.append(((il, ik), slide, cands))
-        for lo, hi, e_lo, _ in cands or ():
+        if slide is not None and slide[1]:  # else a parallel pair, or rigid under this slide
+            slides.append(((il, ik), slide))
+
+    for bits in (DEFAULT_PRECISION_BITS << r for r in range(5)):
+        bounds = [_candidate_bounds(*slide, target, bits) for _, slide in slides]
+        u_num, u_den = 1, 0  # U as a fraction, +infinity until a root is certainly positive
+        for lo, hi, e_lo, _ in (c for cands in bounds for c in cands or ()):
             if lo > 0 and hi * u_den < u_num * e_lo:
                 u_num, u_den = hi, e_lo
+        slides = [
+            s for s, cands in zip(slides, bounds)
+            if cands is None or any(hi > 0 and lo * u_den <= u_num * e_hi for lo, hi, _, e_hi in cands)
+        ]
+        if len(slides) <= 1:
+            break
 
     best: Optional[_Root] = None
     best_triple = None
-    for triple, slide, cands in slides:
-        if cands is not None and not any(hi > 0 and lo * u_den <= u_num * e_hi for lo, hi, _, e_hi in cands):
-            continue
+    for triple, slide in slides:
         for root in _contact_roots(*slide, target, field):
             if _root_sign(root) <= 0:
                 continue

@@ -48,8 +48,8 @@ class ColoredTripleSystem:
         self.n = cen.n
 
     @classmethod
-    def from_arrangement(cls, arr: Arrangement, backend: str = "auto") -> "ColoredTripleSystem":
-        return cls(census(arr, backend))
+    def from_arrangement(cls, arr: Arrangement) -> "ColoredTripleSystem":
+        return cls(census(arr))
 
     @cached_property
     def _base(self) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for closed-form bounds and the structural invariant checker."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from triarea import (
     Line,
     build_gell_graphs,
     census,
+    facial_triangles,
     find_cycle,
     formula_bounds,
     hexgrid,
@@ -230,10 +232,42 @@ def test_verify_accepts_precomputed_census():
 
 
 def test_verify_builds_the_coefficient_matrix_once(monkeypatch):
-    build, built = bounds.ring_coefficients, []
-    monkeypatch.setattr(bounds, "ring_coefficients", lambda arr: built.append(arr.n) or build(arr))
+    # counted at the one builder, which the census, the facial test and the
+    # graphs all reach through the arrangement's cached matrix
+    census_module = sys.modules["triarea.census"]
+    build, built = census_module._ring_matrix, []
+    monkeypatch.setattr(census_module, "_ring_matrix", lambda arr: built.append(arr.n) or build(arr))
     assert verify_arrangement(random_general_position(12, seed=3)).passed
     assert built == [12]
+
+
+def _count_calls(monkeypatch, module, attr):
+    """Calls of module.attr, rebound in every triarea module that holds it,
+    as the benchmark's per-layer probe rebinds it."""
+    original, calls = getattr(module, attr), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, ns in list(sys.modules.items()):
+        if (name == "triarea" or name.startswith("triarea.")) and getattr(ns, attr, None) is original:
+            monkeypatch.setattr(ns, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("arr", [random_general_position(12, seed=3), hexgrid(8)], ids=["random", "grid"])
+def test_verify_resolves_once_and_builds_a_graph_per_line(monkeypatch, arr):
+    resolved = _count_calls(monkeypatch, sys.modules["triarea.census"], "select_backend")
+    graphs = _count_calls(monkeypatch, bounds, "build_gell_graphs")
+    cen = census(arr)
+    assert len(resolved) == 1
+    facial_triangles(arr)
+    assert len(resolved) == 2
+    assert verify_arrangement(arr, cen=cen).passed
+    # the facial test inside is the only other resolution
+    assert len(resolved) == 3
+    assert [args[1] for args in graphs] == list(range(arr.n))
 
 
 def test_same_side_check_skipped_with_parallels():

@@ -191,20 +191,64 @@ def test_select_backend_irrational_falls_back_to_exact():
         census(pentagon(), backend="numpy")
 
 
+def _count_matrix_work(monkeypatch):
+    """Counts of coefficient-matrix builds (census._ring_matrix, the one
+    builder) and of int64 gate checks."""
+    counts = Counter()
+    build, gate = census_module._ring_matrix, _kernels.int64_safe
+    monkeypatch.setattr(census_module, "_ring_matrix", lambda arr: counts.update(["build"]) or build(arr))
+    monkeypatch.setattr(_kernels, "int64_safe", lambda m: counts.update(["gate"]) or gate(m))
+    return counts
+
+
 @pytest.mark.parametrize("backend", ["auto", "numpy", "exact"])
-def test_coefficient_matrix_built_once_per_call(monkeypatch, backend):
-    # the backend and the matrix are resolved in one step: one build per
-    # census and per facial test on the int64 path, none on the exact path
+def test_coefficient_matrix_built_once_per_arrangement(monkeypatch, backend):
+    # the census, the facial test and the backend check share one matrix
+    # and one gate decision; a forced exact backend never asks the gate
     arr = hexgrid(8)
-    built = []
-    build = census_module.integer_coefficients
-    monkeypatch.setattr(census_module, "integer_coefficients", lambda a: built.append(0) or build(a))
-    want = 0 if backend == "exact" else 1
-    assert census(arr, backend).backend == ("exact" if backend == "exact" else "numpy")
-    assert len(built) == want
+    counts = _count_matrix_work(monkeypatch)
+    want = "exact" if backend == "exact" else "numpy"
+    assert census(arr, backend).backend == want
     facial_triangles(arr, backend)
-    assert len(built) == 2 * want
-    assert select_backend(arr, backend) == ("exact" if backend == "exact" else "numpy")
+    assert select_backend(arr, backend) == want
+    assert (counts["build"], counts["gate"]) == (1, 0 if backend == "exact" else 1)
+
+
+# one input per kind of arrangement, with the int64 gate checks each should see
+MATRIX_CASES = {
+    "grid": (lambda: hexgrid(12), 1),
+    "past_gate": (lambda: random_arrangement(12, seed=1, coeff_bound=10**6, offset_bound=10**7), 1),
+    "tower": (lambda: max_chain(1), 0),
+}
+
+
+@pytest.mark.parametrize("argv", [["census", "--facial", "--json"], ["verify", "bounds", "--json"]], ids=" ".join)
+@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+def test_one_coefficient_matrix_and_gate_check_per_arrangement(monkeypatch, tmp_path, capsys, argv, case):
+    # the census, the facial test and the bound checks share one matrix,
+    # whichever module reads it, and towers never reach the gate
+    make, gates = MATRIX_CASES[case]
+    path = tmp_path / "in.lines"
+    path.write_text(make().to_text())
+    counts = _count_matrix_work(monkeypatch)
+    assert main(argv + [str(path)]) == EXIT_OK
+    capsys.readouterr()
+    assert (counts["build"], counts["gate"]) == (1, gates)
+
+
+@pytest.mark.parametrize("arr", [hexgrid(6), pentagon()], ids=["grid", "tower"])
+def test_cached_coefficient_matrices_are_read_only(arr):
+    ring = census_module.ring_coefficients(arr)
+    assert census_module.ring_coefficients(arr) is ring
+    cached = [ring]
+    if select_backend(arr) == "numpy":
+        cached.append(census_module._int64_coefficients(arr))
+        assert cached[1] is census_module._int64_coefficients(arr)
+        assert cached[1].dtype == np.int64 and np.array_equal(cached[1], ring)
+    for m in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 7
+    assert census(arr).backend == select_backend(arr)
 
 
 @pytest.mark.parametrize("backend", ["auto", "exact"])
@@ -330,8 +374,8 @@ def test_table_builders_agree(arr):
         # reference: walk every triple in lexicographic order
         want = [t for t, a in zip(combinations(range(arr.n), 3), area_of) if a == area]
         line_uses = Counter(chain.from_iterable(want))
-        counts = per_line_counts(arr, area, backend="numpy")
-        assert counts == per_line_counts(arr, area, backend="exact")
+        counts = per_line_counts(arr, area, cen=fast)
+        assert counts == per_line_counts(arr, area, cen=exact)
         assert counts == [line_uses[i] for i in range(arr.n)]
         assert list(triples_with_area(arr, area, fast)) == want
         assert list(triples_with_area(arr, area, exact)) == want

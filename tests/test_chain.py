@@ -335,3 +335,30 @@ def test_coarse_precision_keeps_chain_bytes():
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == MAX_CHAIN_1_SHA256
+
+
+def test_coarse_precision_filter_refines_to_one_or_two_triples():
+    # at 8 bits the contact-root filter doubles its precision on the
+    # survivors, so max_chain(2) still sends at most 2 triples per slide to
+    # the exact roots, and builds the same text as at 64 bits
+    code = (
+        "import hashlib\n"
+        "import triarea.chain as c\n"
+        "per_slide, first, roots = [], c._first_contact, c._contact_roots\n"
+        "def slide(*args):\n"
+        "    per_slide.append(0)\n"
+        "    return first(*args)\n"
+        "def contact(*args):\n"
+        "    per_slide[-1] += 1\n"
+        "    return roots(*args)\n"
+        "c._first_contact, c._contact_roots = slide, contact\n"
+        "text = c.max_chain(2).to_text()\n"
+        "print(c.DEFAULT_PRECISION_BITS, hashlib.sha256(text.encode()).hexdigest(), *per_slide)\n"
+    )
+    env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    bits, digest, *per_slide = out.stdout.split()
+    assert bits == "8"
+    assert digest == hashlib.sha256(max_chain(2).to_text().encode()).hexdigest()
+    assert len(per_slide) == 4 and all(1 <= int(k) <= 2 for k in per_slide)

@@ -126,8 +126,8 @@ def test_color_access_is_order_free():
 
 def test_backend_agreement():
     arr = hexgrid(7)
-    exact = ColoredTripleSystem.from_arrangement(arr, backend="exact")
-    fast = ColoredTripleSystem.from_arrangement(arr, backend="numpy")
+    exact = ColoredTripleSystem(census(arr, "exact"))
+    fast = ColoredTripleSystem(census(arr, "numpy"))
     assert np.array_equal(exact.cen.class_ids, fast.cen.class_ids)
     for t in combinations(range(arr.n), 3):
         assert exact.color(*t) == fast.color(*t)

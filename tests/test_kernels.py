@@ -13,7 +13,6 @@ from triarea.arrangement import CONCURRENT, PROPER, Arrangement, Line, area_from
 from triarea.census import (
     census,
     facial_triangles,
-    integer_coefficients,
     ring_coefficients,
     select_backend,
 )
@@ -24,9 +23,10 @@ from test_census import oracle_facial_triangles
 
 
 def _coeffs(arr):
-    coeffs = integer_coefficients(arr)
-    assert coeffs is not None
-    return coeffs
+    """The rational coefficient matrix as int64 columns, whether or not it
+    passes the int64 gate (astype raises past 2^63)."""
+    assert arr.radicand is None
+    return ring_coefficients(arr).astype(np.int64)
 
 
 def test_census_kernels_agree():
@@ -120,7 +120,7 @@ def test_crossing_keys_past_the_float_range_take_the_exact_sort(monkeypatch):
     # after the crossings at -3 (y = 0) and 0 (x + y = 0)
     big = 10**400
     arr = Arrangement([Line(0, 1, 0), Line(1, -1, 3), Line(1, -1, 0), Line(1, 0, -big), Line(1, 1, 0)])
-    assert integer_coefficients(arr) is None
+    assert select_backend(arr) == "exact"
     calls = _count_exact_orders(monkeypatch)
     ranks = _kernels.crossing_ranks(ring_coefficients(arr))
     assert calls
@@ -230,6 +230,34 @@ def test_gate_forces_exact_backend():
     blown = scale(arr, 2**45)
     assert select_backend(blown, "auto") == "exact"
     assert census(arr).area_counts != {}
+
+
+# the largest C with 48*A^4*C^2 < 2^62 at A = 1; the gate's value cannot
+# equal 2^62 (3 does not divide it), so C + 1 is the first value past it
+GATE_EDGE = 309_962_565
+
+
+@pytest.mark.parametrize("c", [GATE_EDGE, GATE_EDGE + 1, 2**63, 2**64 + 1])
+def test_int64_gate_edge(c):
+    # x = 0, y = 0, y = 1, x - y + 1 = 0 and x + y = c: A = 1 and C = c
+    arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(0, 1, -1), Line(1, -1, 1), Line(1, 1, -c)])
+    inside = 48 * c**2 < 2**62
+    assert _kernels.int64_safe(ring_coefficients(arr)) == inside
+    exact = census(arr, "exact")
+    if inside:
+        assert select_backend(arr) == "numpy"
+        fast = census(arr)
+        assert fast.backend == "numpy"
+        assert np.array_equal(fast.class_ids, exact.class_ids)
+        assert fast.sorted_items() == exact.sorted_items()
+        assert (fast.concurrent_count, fast.parallel_count) == (exact.concurrent_count, exact.parallel_count)
+    else:
+        # past the gate no int64 cast is made, even where it would overflow
+        assert select_backend(arr) == "exact"
+        with pytest.raises(ValueError, match="int64-safe"):
+            census(arr, "numpy")
+        assert census(arr).sorted_items() == exact.sorted_items()
+    assert facial_triangles(arr) == facial_triangles(arr, "exact") == oracle_facial_triangles(arr)
 
 
 def test_select_backend_rejects_unknown_names():
