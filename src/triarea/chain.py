@@ -42,17 +42,18 @@ from .arrangement import (
     Line,
     coefficient_determinant,
     horizontal_map,
-    intersect,
     pair_weight,
 )
 from .constructions import pentagon
 from .scalars import (
-    DEFAULT_PRECISION_BITS,
+    DEFAULT_PRECISION_BITS,  # re-exported: the first precision of the chain's certified decisions
     QuadExt,
     Scalar,
     _bounds,
+    _bounds_order,
     _isqrt_bounds,
     _peel,
+    _precision_schedule,
     exact_sign,
     lift_to,
     sqrt_exact,
@@ -67,15 +68,6 @@ def _weights(l1: Line, l2: Line, l3: Line, weight=pair_weight) -> Optional[Tuple
     """Pair weights (w12, w13, w23), or None when two lines are parallel."""
     w = (weight(l1, l2), weight(l1, l3), weight(l2, l3))
     return None if 0 in map(exact_sign, w) else w
-
-
-def _signed_double_area(l1: Line, l2: Line, l3: Line) -> Optional[Scalar]:
-    """D^2/(w12*w13*w23), i.e. twice the signed area; None when degenerate."""
-    w = _weights(l1, l2, l3)
-    if w is None:
-        return None
-    d = coefficient_determinant(_peel(l1.c), _peel(l2.c), _peel(l3.c), *w)
-    return d * d / (w[0] * w[1] * w[2])
 
 
 def _translate_line(line: Line, vx: Scalar, vy: Scalar) -> Line:
@@ -117,25 +109,27 @@ def _find_safe_interval(
     offset inside, both boundary lines cut only sub-maximum triangles.
 
     The cutting areas form parabolas in tau, one per line pair, vanishing
-    where the strip line meets that pair's vertex; their max is convex and
-    dips strictly below the maximum area (adding a minimizing line would
-    otherwise support two maximum triangles on opposite sides, impossible
-    when nothing is parallel).  A quartering search finds a sub-maximum
-    point, then the interval shrinks until it clears all vertex offsets.
+    where the strip line meets that pair's vertex: sliding the strip line
+    to tau gives D(tau) = D0 + tau*D1 (_slide_determinant), so the vertex
+    offset is -D0/D1 and the area D(tau)^2/(2|W|) has leading coefficient
+    D1^2/(2|W|).  Their max is convex and dips strictly below the maximum
+    area (adding a minimizing line would otherwise support two maximum
+    triangles on opposite sides, impossible when nothing is parallel).  A
+    quartering search finds a sub-maximum point, then the interval shrinks
+    until it clears all vertex offsets.
     """
+    strip_line = Line(Fraction(-r), Fraction(1), Fraction(0))
     offsets = []
     parabolas = []
     for l1, l2 in combinations(lines, 2):
-        p = intersect(l1, l2)
-        if p is None:
+        # r makes the strip line parallel to no line, so None means l1 || l2
+        slide = _slide_determinant([l1, l2], [strip_line], Fraction(0), Fraction(1))
+        if slide is None:
             raise ChainError("parts must have no parallel pair")
-        root = p[1] - p[0] * r
+        d0, d1, w = slide
+        root = -d0 / d1
         offsets.append(root)
-        probe = Line(Fraction(-r), Fraction(1), -(root + 1))
-        area2 = _signed_double_area(probe, l1, l2)
-        assert area2 is not None
-        alpha = abs(area2) / 2
-        parabolas.append((alpha, root))
+        parabolas.append((d1 * d1 / (2 * abs(w)), root))
 
     lo = hi = offsets[0]
     for o in offsets[1:]:
@@ -315,18 +309,10 @@ def _roots_compare(r1: _Root, r2: _Root) -> int:
         return 0
     if r1.rad is not None and r2.rad is not None and _same_rad(r1.rad, r2.rad):
         return exact_sign(r1.value() - r2.value())
-    v1, v2 = r1.value(), r2.value()
-    bits = DEFAULT_PRECISION_BITS
-    while True:
-        lo1, hi1 = _bounds(v1, bits)
-        lo2, hi2 = _bounds(v2, bits)
-        if hi1 < lo2:
-            return -1
-        if hi2 < lo1:
-            return 1
-        if bits >= 65536:
-            raise ChainError("slide roots did not separate at maximum precision")
-        bits *= 2
+    order = _bounds_order(r1.value(), r2.value())
+    if order is None:
+        raise ChainError("slide roots did not separate at maximum precision")
+    return order
 
 
 def _same_rad(d1: Scalar, d2: Scalar) -> bool:
@@ -438,8 +424,8 @@ def _first_contact(
     Exact roots are found only for triples with a root that may be positive
     and at most U, the smallest upper end of the certainly positive root
     enclosures, or with undecided bounds.  While more than one triple
-    survives, they are filtered again at doubled precision, with U taken
-    from their own enclosures, up to 16 times DEFAULT_PRECISION_BITS.  Every
+    survives, they are filtered again at the next precision of the scalars'
+    schedule, with U taken from their own enclosures.  Every
     triple holding the smallest root is kept, in order, so on ties the
     earliest triple still wins."""
     target = 2 * max_area
@@ -452,7 +438,7 @@ def _first_contact(
         if slide is not None and slide[1]:  # else a parallel pair, or rigid under this slide
             slides.append(((il, ik), slide))
 
-    for bits in (DEFAULT_PRECISION_BITS << r for r in range(5)):
+    for bits in _precision_schedule():
         bounds = [_candidate_bounds(*slide, target, bits) for _, slide in slides]
         u_num, u_den = 1, 0  # U as a fraction, +infinity until a root is certainly positive
         for lo, hi, e_lo, _ in (c for cands in bounds for c in cands or ()):

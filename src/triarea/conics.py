@@ -23,94 +23,57 @@ from .scalars import Scalar, _peel, exact_sign
 Matrix = List[List[Scalar]]
 
 
+def _echelon(rows: Matrix, ncols: int) -> Tuple[Matrix, List[int], int]:
+    """Row echelon form by exact Gaussian elimination (any scalar field): the
+    rows, the pivot column of each leading row, and the parity of the row
+    swaps."""
+    m = [list(r) for r in rows]
+    cols: List[int] = []
+    swaps = 0
+    for col in range(ncols):
+        row = len(cols)
+        if row == len(m):
+            break
+        piv = next((r for r in range(row, len(m)) if exact_sign(m[r][col]) != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            swaps ^= 1
+        top = m[row]
+        for r in range(row + 1, len(m)):
+            if exact_sign(m[r][col]) != 0:
+                f = m[r][col] / top[col]
+                m[r][col:] = [v - f * t for v, t in zip(m[r][col:], top[col:])]
+        cols.append(col)
+    return m, cols, swaps
+
+
 def det_exact(rows: Matrix) -> Scalar:
     """Determinant by exact Gaussian elimination (any scalar field)."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det: Scalar = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if exact_sign(m[r][col]) != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0) * det
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if exact_sign(m[r][col]) == 0:
-                continue
-            f = m[r][col] / inv
-            for cc in range(col, n):
-                m[r][cc] = m[r][cc] - f * m[col][cc]
-    return det
+    m, cols, swaps = _echelon(rows, len(rows))
+    det: Scalar = Fraction(-1 if swaps else 1)
+    for row, col in enumerate(cols):
+        det = det * m[row][col]
+    # singular: zero, in the field of the pivots found
+    return det if len(cols) == len(m) else Fraction(0) * det
 
 
 def rank_exact(rows: Matrix) -> int:
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if exact_sign(m[r][col]) != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        for r in range(row + 1, nr):
-            if exact_sign(m[r][col]) != 0:
-                f = m[r][col] / inv
-                for cc in range(col, nc):
-                    m[r][cc] = m[r][cc] - f * m[row][cc]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    return len(_echelon(rows, len(rows[0]))[1])
 
 
 def kernel_vector(rows: Matrix, ncols: int) -> Optional[List[Scalar]]:
     """A nonzero kernel vector of the (underdetermined) system, or None."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    pivots: List[Tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nr):
-            if exact_sign(m[r][col]) != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [v / inv for v in m[row]]
-        for r in range(nr):
-            if r != row and exact_sign(m[r][col]) != 0:
-                f = m[r][col]
-                m[r] = [m[r][cc] - f * m[row][cc] for cc in range(ncols)]
-        pivots.append((row, col))
-        row += 1
-        if row == nr:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(ncols) if c not in pivot_cols]
+    m, cols, _ = _echelon(rows, ncols)
+    free = [c for c in range(ncols) if c not in cols]
     if not free:
         return None
-    fc = free[0]
     vec: List[Scalar] = [Fraction(0)] * ncols
-    vec[fc] = Fraction(1)
-    for r, c in pivots:
-        vec[c] = -m[r][fc]
+    vec[free[0]] = Fraction(1)
+    for row, col in reversed(list(enumerate(cols))):
+        r = m[row]
+        vec[col] = -sum((r[c] * vec[c] for c in range(col + 1, ncols)), Fraction(0)) / r[col]
     return vec
 
 

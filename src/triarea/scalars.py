@@ -1,16 +1,13 @@
-"""Exact scalar arithmetic: rationals, quadratic surds, certified intervals.
+"""Exact scalar arithmetic: rationals, quadratic surds, certified signs.
 
-Three kinds of scalars appear in arrangements:
+Two kinds of scalars appear in arrangements:
 
 * plain rationals, represented by ``fractions.Fraction``;
 * elements ``a + b*sqrt(d)`` of a real quadratic extension, represented by
   :class:`QuadExt`.  The components may themselves be :class:`QuadExt`
   values, which yields radical towers (used internally by the chain
   construction); ordinary arrangements stay at level one with a square-free
-  integer radicand;
-* :class:`CertifiedInterval`, a pair of dyadic rational bounds guaranteed to
-  enclose the true value.  Intervals never guess: a comparison that the
-  bounds cannot settle is reported as undecided rather than rounded.
+  integer radicand.
 
 A :class:`QuadExt` of a tower of height h stores one tuple of 2^h Python
 ints and one positive denominator: its coordinates on the products of the
@@ -20,11 +17,15 @@ with integer arithmetic only and take one gcd per result; ``a``, ``b`` and
 ``rad`` are read off on demand, and ``Fraction`` leaves appear only where
 a caller asks for them or text is printed.
 
-All equality and sign decisions are exact.  Signs, floors and root
-comparisons first try integer fixed-point bounds ``lo <= x*2^bits <= hi``
-(:func:`_bounds`, memoised per element and precision), with the algebraic
-test as the fallback; :func:`interval_of` wraps the same bounds as a
-:class:`CertifiedInterval`.
+All equality and sign decisions are exact.  Signs and root comparisons
+first try integer fixed-point bounds ``lo <= x*2^bits <= hi``
+(:func:`_bounds`, memoised per element and precision) along one precision
+schedule, N, 2N, 4N, ... bits up to ``MAX_PRECISION_BITS``
+(:func:`_precision_schedule`, N = ``TRIAREA_PRECISION_BITS``); a sign the
+bounds leave open past the schedule comes from the algebraic test.
+:func:`interval_of` wraps the same bounds as a :class:`CertifiedInterval`,
+a pair of dyadic bounds that never guesses: a comparison the bounds cannot
+settle is reported as undecided rather than rounded.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ Scalar = Union[Fraction, "QuadExt"]
 
 # interval fast-path width; override with TRIAREA_PRECISION_BITS
 DEFAULT_PRECISION_BITS = max(8, int(os.environ.get("TRIAREA_PRECISION_BITS", "64")))
+# the last precision of the schedule
+MAX_PRECISION_BITS = 65536
 
 
 def _frac(x: Rat) -> Fraction:
@@ -65,14 +68,6 @@ def float_ratio(n: Scalar, d: Scalar) -> float:
         return inf if n >= 0 else -inf
 
 
-def _dyadic_floor(x: Fraction, bits: int) -> Fraction:
-    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
-
-
-def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
-
-
 @dataclass(frozen=True)
 class CertifiedInterval:
     """Dyadic bounds with ``lower <= true value <= upper``."""
@@ -85,31 +80,6 @@ class CertifiedInterval:
         if self.lower > self.upper:
             raise ValueError("interval bounds out of order")
 
-    def round_out(self, bits: int) -> "CertifiedInterval":
-        return CertifiedInterval(
-            _dyadic_floor(self.lower, bits), _dyadic_ceil(self.upper, bits), bits
-        )
-
-    def __add__(self, other: "CertifiedInterval") -> "CertifiedInterval":
-        bits = min(self.precision_bits, other.precision_bits)
-        return CertifiedInterval(
-            self.lower + other.lower, self.upper + other.upper, bits
-        ).round_out(bits)
-
-    def __neg__(self) -> "CertifiedInterval":
-        return CertifiedInterval(-self.upper, -self.lower, self.precision_bits)
-
-    def __sub__(self, other: "CertifiedInterval") -> "CertifiedInterval":
-        return self + (-other)
-
-    def sqrt(self) -> "CertifiedInterval":
-        if self.lower < 0:
-            raise ValueError("sqrt of interval reaching below zero")
-        bits = self.precision_bits
-        lo = _rational_sqrt_bounds(self.lower.numerator, self.lower.denominator, bits)[0]
-        hi = _rational_sqrt_bounds(self.upper.numerator, self.upper.denominator, bits)[1]
-        return CertifiedInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits), bits)
-
     def sign_or_none(self) -> Optional[int]:
         """Certified sign, or None when the bounds straddle zero."""
         if self.lower > 0:
@@ -121,8 +91,15 @@ class CertifiedInterval:
         return None
 
     def compare(self, other: "CertifiedInterval") -> Optional[int]:
-        """-1, 0, +1 when certifiable, None when undecided."""
-        return (self - other).sign_or_none()
+        """-1 or +1 for disjoint intervals, 0 for two equal points, None
+        when undecided."""
+        if self.upper < other.lower:
+            return -1
+        if other.upper < self.lower:
+            return 1
+        if self.lower == self.upper == other.lower == other.upper:
+            return 0
+        return None
 
 
 class _Field:
@@ -694,16 +671,14 @@ def exact_sign(x: Scalar) -> int:
 
 
 def _quadext_sign(x: QuadExt) -> int:
-    # Fixed-point bounds decide every nonzero value at some precision, cheap
-    # for the common case deep in a tower; the algebraic test is the fallback.
+    # Fixed-point bounds along the precision schedule decide a nonzero value
+    # cheaply even deep in a tower; the algebraic test is the fallback for a
+    # value closer to zero than the last precision can tell.
     if not any(x._t):
         return 0
-    for bits in (DEFAULT_PRECISION_BITS, 3 * DEFAULT_PRECISION_BITS):
-        lo, hi = _bounds(x, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
+    order = _bounds_order(x, 0)
+    if order is not None:
+        return order
     sa = exact_sign(x.a)
     sb = exact_sign(x.b)
     if sb == 0:
@@ -714,6 +689,31 @@ def _quadext_sign(x: QuadExt) -> int:
         return sa
     t = exact_sign(x.a * x.a - x.b * x.b * x.rad)
     return t * sa
+
+
+def _precision_schedule():
+    """The precisions of every certified decision: N, 2N, 4N, ... bits
+    (N = DEFAULT_PRECISION_BITS), ending at the first that reaches
+    MAX_PRECISION_BITS."""
+    bits = DEFAULT_PRECISION_BITS
+    while True:
+        yield bits
+        if bits >= MAX_PRECISION_BITS:
+            return
+        bits *= 2
+
+
+def _bounds_order(x: Scalar, y: Scalar) -> Optional[int]:
+    """-1 or +1 when the fixed-point bounds of x and y separate at some
+    precision of the schedule; None when they never do (as for x = y)."""
+    for bits in _precision_schedule():
+        x_lo, x_hi = _bounds(x, bits)
+        y_lo, y_hi = _bounds(y, bits)
+        if x_hi < y_lo:
+            return -1
+        if y_hi < x_lo:
+            return 1
+    return None
 
 
 def interval_of(x: Scalar, bits: int = DEFAULT_PRECISION_BITS) -> CertifiedInterval:

@@ -28,6 +28,7 @@ from triarea import (
     triple_area,
 )
 import triarea.chain as chain
+import triarea.scalars as scalars
 from triarea.chain import _contact_roots, _cross_triples, _first_contact, _place_parts, _slide_determinant
 from triarea.scalars import exact_sign, lift_to, sqrt_exact
 
@@ -222,16 +223,29 @@ def test_precision_env_sets_first_root_comparison():
     code = (
         "from fractions import Fraction as F\n"
         "import triarea.chain as c\n"
-        "bits, bounds = [], c._bounds\n"
+        "import triarea.scalars as s\n"
+        "bits, bounds = [], s._bounds\n"
         "def recording(x, b):\n"
         "    bits.append(b)\n"
         "    return bounds(x, b)\n"
-        "c._bounds = recording\n"
+        "s._bounds = recording\n"
         "print(c._roots_compare(c._Root(F(0), F(1), F(2)), c._Root(F(0), F(1), F(3))), bits[0])\n"
     )
     env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout.split() == ["-1", "8"], out.stderr
+
+
+def test_roots_compare_raises_when_undecided(monkeypatch):
+    # 275807/195025 is a continued-fraction convergent of sqrt 2, within
+    # 2^-36 of it: a schedule that stops at 32 bits cannot separate the two
+    sqrt2 = chain._Root(Fraction(0), Fraction(1), Fraction(2))
+    near = chain._Root(Fraction(275807, 195025), Fraction(0), None)
+    assert chain._roots_compare(near, sqrt2) == -1
+    monkeypatch.setattr(scalars, "DEFAULT_PRECISION_BITS", 16)
+    monkeypatch.setattr(scalars, "MAX_PRECISION_BITS", 32)
+    with pytest.raises(ChainError, match="did not separate"):
+        chain._roots_compare(near, sqrt2)
 
 
 def first_contact_unfiltered(lines_l, lines_k, vx, vy, max_area, field):
@@ -362,3 +376,37 @@ def test_coarse_precision_filter_refines_to_one_or_two_triples():
     assert bits == "8"
     assert digest == hashlib.sha256(max_chain(2).to_text().encode()).hexdigest()
     assert len(per_slide) == 4 and all(1 <= int(k) <= 2 for k in per_slide)
+
+
+def test_coarse_precision_needs_no_algebraic_sign(tmp_path):
+    # the precision schedule doubles from 8 bits until the bounds separate,
+    # so neither the max_chain(2) build nor its census falls back to the
+    # algebraic sign test, and both print the 64-bit bytes
+    code = (
+        "import contextlib, hashlib, io, os, sys\n"
+        "import triarea.chain as c, triarea.cli as cli, triarea.scalars as s\n"
+        "undecided, order = [], s._bounds_order\n"
+        "def counting(x, y):\n"
+        "    got = order(x, y)\n"
+        "    undecided.append(got is None)\n"
+        "    return got\n"
+        "s._bounds_order = counting\n"
+        "text = c.max_chain(2).to_text()\n"
+        "path = os.path.join(sys.argv[1], 'chain.lines')\n"
+        "with open(path, 'w') as fh:\n"
+        "    fh.write(text)\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = cli.main(['census', '--json', path])\n"
+        "digests = [hashlib.sha256(t.encode()).hexdigest() for t in (text, out.getvalue())]\n"
+        "print(code, len(undecided), sum(undecided), *digests)\n"
+    )
+    runs = {}
+    for bits in ("8", "64"):
+        env = dict(os.environ, TRIAREA_PRECISION_BITS=bits)
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+        assert out.returncode == 0, out.stderr
+        runs[bits] = out.stdout.split()
+    for exit_code, orders, undecided, *_ in runs.values():
+        assert (exit_code, undecided) == ("0", "0") and int(orders) > 1000
+    assert runs["8"][3:] == runs["64"][3:]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triarea.scalars as scalars
 from triarea.scalars import (
     CertifiedInterval,
     QuadExt,
@@ -150,6 +151,46 @@ class TestSign:
         assert out.stdout.strip() == "8", out.stderr
 
 
+class TestPrecisionSchedule:
+    def test_starts_at_n_and_doubles_up_to_the_cap(self, monkeypatch):
+        n = scalars.DEFAULT_PRECISION_BITS
+        got = list(scalars._precision_schedule())
+        assert got[0] == n
+        assert all(b == 2 * a for a, b in zip(got, got[1:]))
+        assert got[-2] < scalars.MAX_PRECISION_BITS <= got[-1]
+        monkeypatch.setattr(scalars, "DEFAULT_PRECISION_BITS", 8)
+        assert list(scalars._precision_schedule()) == [8 << k for k in range(14)]  # 8 .. 65536
+
+    def test_equal_values_stay_undecided(self):
+        # one value in two representations: bounds never separate them
+        root5 = QuadExt(F(0), F(1), F(5))
+        lifted = lift_to(root5, QuadExt(F(0), F(1), TOWER_RADS[1]))
+        assert lifted.height == 2 and lifted == root5
+        assert scalars._bounds_order(root5, lifted) is None
+        assert scalars._bounds_order(F(1, 3), QuadExt(F(1, 3), F(0), F(5))) is None
+        assert scalars._bounds_order(root5, F(9, 4)) == -1
+
+    def test_sign_past_the_cap_comes_from_the_algebraic_test(self, monkeypatch):
+        # p - q*sqrt 2 for Pell pairs (p, q) with p^2 - 2q^2 = +-1 lies
+        # within 1/(2q^2) of zero and has the sign of p^2 - 2q^2
+        p, q = 1, 1
+        while q < 1 << 40:
+            p, q = p + 2 * q, p + q
+        monkeypatch.setattr(scalars, "DEFAULT_PRECISION_BITS", 32)
+        monkeypatch.setattr(scalars, "MAX_PRECISION_BITS", 64)
+        orders, order = [], scalars._bounds_order
+
+        def recording(x, y):
+            orders.append(order(x, y))
+            return orders[-1]
+
+        monkeypatch.setattr(scalars, "_bounds_order", recording)
+        for p, q in ((p, q), (p + 2 * q, p + q)):
+            x = QuadExt(F(p), F(-q), F(2))
+            assert exact_sign(x) == exact_sign(F(p * p - 2 * q * q)) != 0
+        assert orders == [None, None]
+
+
 # a three-level tower over Q: sqrt 5, then sqrt(1 + sqrt 5), then
 # sqrt(2 + sqrt(1 + sqrt 5)); every element of one level shares its radicand
 TOWER_RADS = [F(5)]
@@ -227,11 +268,9 @@ class TestIntervals:
         b = CertifiedInterval(F(1), F(3))
         assert a.compare(b) is None
         assert CertifiedInterval(F(0), F(1)).compare(CertifiedInterval(F(2), F(3))) == -1
-
-    def test_sqrt_encloses(self):
-        iv = CertifiedInterval(F(2), F(2)).sqrt()
-        assert float(iv.lower) <= math.sqrt(2) <= float(iv.upper)
-        assert float(iv.upper - iv.lower) < 1e-15
+        assert CertifiedInterval(F(2), F(3)).compare(CertifiedInterval(F(0), F(1))) == 1
+        assert CertifiedInterval(F(1), F(2)).compare(CertifiedInterval(F(2), F(3))) is None
+        assert CertifiedInterval(F(1), F(1)).compare(CertifiedInterval(F(1), F(1))) == 0
 
     @given(quadext_values(), st.sampled_from([32, 64, 128]))
     def test_interval_contains_value(self, x, bits):
