@@ -10,16 +10,19 @@ same maximum area A:
     Gate segments across the strip beyond all crossings give a rectangle;
     any line entering one gate and leaving the other crosses every line of
     the part inside the strip, and every triangle it forms with two part
-    lines is strictly contained in a sub-maximum boundary triangle.
+    lines is strictly contained in a sub-maximum boundary triangle.  The
+    strip search compares its probes by integer enclosures first, and
+    exactly only where these meet.
  2. Place the parts by determinant-one maps: L's strip horizontal and tall,
     K's strip vertical and wide, so each part's lines thread the other's
     gates.  The union then has exactly T(L) + T(K) maximum triangles.
  3. Slide K's image horizontally to the first parameter where some mixed
     triple reaches area A (smallest positive root of the per-triple
     quadratics; roots may require adjoining a square root to the scalar
-    field).  Integer bounds on each triple's two roots filter the triples
-    first, so exact roots are found only for those whose enclosures can
-    hold the smallest one.
+    field).  Integer interval arithmetic on the bounds of the lines'
+    offsets, slide rates and pair weights encloses each triple's slide
+    determinant, then its two roots; exact determinants and roots are
+    formed only for the triples whose enclosures can hold the smallest.
  4. Slide again along the contact triangle's own anchor line, which keeps
     that triangle rigid, until a second mixed triple reaches A.
 
@@ -46,7 +49,6 @@ from .arrangement import (
 )
 from .constructions import pentagon
 from .scalars import (
-    DEFAULT_PRECISION_BITS,  # re-exported: the first precision of the chain's certified decisions
     QuadExt,
     Scalar,
     _bounds,
@@ -54,6 +56,7 @@ from .scalars import (
     _isqrt_bounds,
     _peel,
     _precision_schedule,
+    _product_bounds,
     exact_sign,
     lift_to,
     sqrt_exact,
@@ -102,6 +105,17 @@ def _max_new_area(parabolas, tau: Scalar) -> Scalar:
     return best
 
 
+def _max_new_area_bounds(enclosed, tau: Scalar, bits: int) -> Tuple[int, int]:
+    """Integers enclosing _max_new_area at tau scaled by 2^(3*bits), from
+    the enclosures (alpha, root) of the parabolas at 2^bits (_bounds)."""
+    t_lo, t_hi = _bounds(tau, bits)
+    vals = []
+    for alpha, (r_lo, r_hi) in enclosed:
+        d = (t_lo - r_hi, t_hi - r_lo)
+        vals.append(_product_bounds(alpha, _product_bounds(d, d)))
+    return max(lo for lo, _ in vals), max(hi for _, hi in vals)
+
+
 def _find_safe_interval(
     lines: Sequence[Line], r: int, max_area: Scalar
 ) -> Tuple[Scalar, Scalar]:
@@ -116,7 +130,9 @@ def _find_safe_interval(
     area (adding a minimizing line would otherwise support two maximum
     triangles on opposite sides, impossible when nothing is parallel).  A
     quartering search finds a sub-maximum point, then the interval shrinks
-    until it clears all vertex offsets.
+    until it clears all vertex offsets.  Each comparison of a probe's max
+    with the maximum area or another probe's reads enclosures first
+    (_max_new_area_bounds), and exact values only where these meet.
     """
     strip_line = Line(Fraction(-r), Fraction(1), Fraction(0))
     offsets = []
@@ -131,6 +147,18 @@ def _find_safe_interval(
         offsets.append(root)
         parabolas.append((d1 * d1 / (2 * abs(w)), root))
 
+    bits = next(_precision_schedule())
+    enclosed = [(_bounds(alpha, bits), _bounds(root, bits)) for alpha, root in parabolas]
+    a_lo, a_hi = _bounds(max_area, bits)
+
+    def order(s, t=None):
+        """Order of the max at s against the max at t, or against max_area."""
+        s_lo, s_hi = _max_new_area_bounds(enclosed, s, bits)
+        t_lo, t_hi = (a_lo << 2 * bits, a_hi << 2 * bits) if t is None else _max_new_area_bounds(enclosed, t, bits)
+        if s_hi < t_lo or t_hi < s_lo:
+            return -1 if s_hi < t_lo else 1
+        return exact_sign(_max_new_area(parabolas, s) - (max_area if t is None else _max_new_area(parabolas, t)))
+
     lo = hi = offsets[0]
     for o in offsets[1:]:
         if exact_sign(o - lo) < 0:
@@ -142,15 +170,11 @@ def _find_safe_interval(
     for _ in range(300):
         quarter = (hi - lo) / 4
         probes = [lo + quarter, lo + 2 * quarter, lo + 3 * quarter]
-        vals = [_max_new_area(parabolas, t) for t in probes]
-        for t, v in zip(probes, vals):
-            if exact_sign(v - max_area) < 0:
-                tau = t
-                break
+        tau = next((t for t in probes if order(t) < 0), None)
         if tau is not None:
             break
         # keep the convex minimizer bracketed
-        if exact_sign(vals[0] - vals[2]) <= 0:
+        if order(probes[0], probes[2]) <= 0:
             hi = probes[2]
         else:
             lo = probes[0]
@@ -168,15 +192,13 @@ def _find_safe_interval(
     while any(exact_sign(o - tau) == 0 for o in offsets):
         tau = tau + gap / 2
         gap = gap / 2
-        if exact_sign(_max_new_area(parabolas, tau) - max_area) >= 0:
+        if order(tau) >= 0:
             raise ChainError("vertex nudge left the sub-maximum region")
 
     delta = gap / 2
     while True:
         t1, t2 = tau - delta, tau + delta
-        v1 = _max_new_area(parabolas, t1)
-        v2 = _max_new_area(parabolas, t2)
-        if exact_sign(v1 - max_area) < 0 and exact_sign(v2 - max_area) < 0:
+        if order(t1) < 0 and order(t2) < 0:
             return t1, t2
         delta = delta / 2
 
@@ -346,6 +368,16 @@ def _slide_determinant(
     return d0, d1, w[0] * w[1] * w[2]
 
 
+def _slide_bounds(c, w, rate, w_rate) -> Tuple[Tuple[int, int], ...]:
+    """Integer enclosures of a triple's (D0, D1, W) from the _bounds of its
+    offsets c, its weights w = (w12, w13, w23), and the rate and weight
+    whose product is D1 (see _first_contact)."""
+    (c1, c2, c3), (w12, w13, w23) = c, w
+    x, y, z = _product_bounds(c1, w23), _product_bounds(c2, w13), _product_bounds(c3, w12)
+    d0 = (x[0] - y[1] + z[0], x[1] - y[0] + z[1])
+    return d0, _product_bounds(rate, w_rate), _product_bounds(_product_bounds(w12, w13), w23)
+
+
 def _contact_roots(d0: Scalar, d1: Scalar, den: Scalar, target: Scalar, field: Scalar) -> List[_Root]:
     """Exact roots t of D(t)^2/den = target, then of D(t)^2/den = -target,
     with D(t) = d0 + t*d1 and d1 nonzero, lifted into the ambient field.
@@ -390,22 +422,21 @@ def _cross_triples(nl: int, nk: int):
             yield ((i,), (g, h))
 
 
-def _candidate_bounds(d0: Scalar, d1: Scalar, den: Scalar, target: Scalar, bits: int):
+def _candidate_bounds(d0, d1, den, target):
     """Integer enclosures (lo, hi, e_lo, e_hi) of the two real contact roots
     (c +- s)/e, with c = -d0*sign(d1), s = sqrt(|den|*target) and e = |d1|,
-    all scaled by 2^bits: a root lies in [lo/e_hi, hi/e_lo] when lo > 0,
-    and is <= 0 when hi <= 0.  None when the bounds of d1 or den leave
-    their signs open."""
-    w_lo, w_hi = _bounds(den, bits)
-    e_lo, e_hi = _bounds(d1, bits)
+    from enclosures (lo, hi) of d0, d1, den and target, den*target scaled
+    as d0^2: a root lies in [lo/e_hi, hi/e_lo] when lo > 0, and is <= 0
+    when hi <= 0.  None when d1's or den's sign is left open."""
+    (w_lo, w_hi), (e_lo, e_hi) = den, d1
     if w_lo <= 0 <= w_hi or e_lo <= 0 <= e_hi:
         return None
-    c_lo, c_hi = _bounds(d0, bits)
+    c_lo, c_hi = d0
     if e_lo > 0:
         c_lo, c_hi = -c_hi, -c_lo
     w_lo, w_hi = sorted(map(abs, (w_lo, w_hi)))
     e_lo, e_hi = sorted(map(abs, (e_lo, e_hi)))
-    t_lo, t_hi = _bounds(target, bits)
+    t_lo, t_hi = target
     s_lo, s_hi = _isqrt_bounds(w_lo * max(t_lo, 0), w_hi * t_hi)
     return (c_lo + s_lo, c_hi + s_hi, e_lo, e_hi), (c_lo - s_hi, c_hi - s_lo, e_lo, e_hi)
 
@@ -421,31 +452,54 @@ def _first_contact(
     """Smallest positive slide parameter at which a mixed triple reaches
     double area +-2*max_area, with the witnessing triple.
 
-    Exact roots are found only for triples with a root that may be positive
-    and at most U, the smallest upper end of the certainly positive root
-    enclosures, or with undecided bounds.  While more than one triple
-    survives, they are filtered again at the next precision of the scalars'
-    schedule, with U taken from their own enclosures.  Every
-    triple holding the smallest root is kept, in order, so on ties the
-    earliest triple still wins."""
+    Each triple's (D0, D1, W) is enclosed from bounds (_slide_bounds); a
+    D1 enclosure of (0, 0) shows it rigid, and a triple whose D1 or W sign
+    is open gets its exact determinant at once.  Exact roots are found
+    only for triples with a root that may be positive and at most U, the
+    smallest upper end of the certainly positive root enclosures, or with
+    open signs; while more than one survives, the next precision of the
+    scalars' schedule filters them again.  Every triple holding the
+    smallest root is kept, in order, so on ties the earliest still wins."""
     target = 2 * max_area
     weight = cache(pair_weight)  # a slide keeps a and b, so each pair's weight holds throughout
-    slides = []
-    for (il, ik) in _cross_triples(len(lines_l), len(lines_k)):
-        fixed = [lines_k[g] for g in ik]
-        moving = [lines_l[i] for i in il]
-        slide = _slide_determinant(fixed, moving, vx, vy, weight)
-        if slide is not None and slide[1]:  # else a parallel pair, or rigid under this slide
-            slides.append(((il, ik), slide))
+    lines = list(lines_k) + list(lines_l)  # fixed lines first, as in _slide_determinant
+    nk = len(lines_k)
+    offsets = [_peel(l.c) for l in lines]
+    # D1 = det[a b r], r = -(a*vx + b*vy) on the moving lines, is 0 with r on
+    # all three, so also det[a b -r] with -r on the fixed lines alone.  On
+    # the side with one line it is that line's rate times the weight of
+    # the other two, and exactly 0 for a rigid triple.
+    rates = [_peel(l.a) * vx + _peel(l.b) * vy for l in lines]
+    rates[nk:] = [-x for x in rates[nk:]]
 
+    def exact(triple):
+        il, ik = triple
+        return _slide_determinant([lines_k[g] for g in ik], [lines_l[i] for i in il], vx, vy, weight)
+
+    slides = [((il, ik), (*ik, *(nk + i for i in il)), None) for il, ik in _cross_triples(len(lines_l), nk)]
     for bits in _precision_schedule():
-        bounds = [_candidate_bounds(*slide, target, bits) for _, slide in slides]
+        c = [_bounds(x, bits) for x in offsets]
+        r = [_bounds(x, bits) for x in rates]
+        w = {(p, q): _bounds(weight(lines[p], lines[q]), bits) for p, q in combinations(range(len(lines)), 2)}
+        t = _bounds(target, bits)
+        bounds = []
+        for (il, ik), (p, q, s), slide in slides:
+            single, pair = (p, (q, s)) if len(ik) == 1 else (s, (p, q))
+            d0, d1, den = _slide_bounds((c[p], c[q], c[s]), (w[p, q], w[p, s], w[q, s]), r[single], w[pair])
+            if d1 == (0, 0):
+                continue  # rigid under this slide
+            cands = _candidate_bounds(d0, d1, den, t)
+            if cands is None and slide is None:
+                slide = exact((il, ik))
+                if slide is None or not slide[1]:
+                    continue  # a parallel pair, or rigid under this slide
+            bounds.append((((il, ik), (p, q, s), slide), cands))
         u_num, u_den = 1, 0  # U as a fraction, +infinity until a root is certainly positive
-        for lo, hi, e_lo, _ in (c for cands in bounds for c in cands or ()):
+        for lo, hi, e_lo, _ in (cand for _, cands in bounds for cand in cands or ()):
             if lo > 0 and hi * u_den < u_num * e_lo:
                 u_num, u_den = hi, e_lo
         slides = [
-            s for s, cands in zip(slides, bounds)
+            s for s, cands in bounds
             if cands is None or any(hi > 0 and lo * u_den <= u_num * e_hi for lo, hi, _, e_hi in cands)
         ]
         if len(slides) <= 1:
@@ -453,8 +507,8 @@ def _first_contact(
 
     best: Optional[_Root] = None
     best_triple = None
-    for triple, slide in slides:
-        for root in _contact_roots(*slide, target, field):
+    for triple, _, slide in slides:
+        for root in _contact_roots(*(slide or exact(triple)), target, field):
             if _root_sign(root) <= 0:
                 continue
             if best is None or _roots_compare(root, best) < 0:

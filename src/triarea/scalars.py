@@ -676,9 +676,9 @@ def _quadext_sign(x: QuadExt) -> int:
     # value closer to zero than the last precision can tell.
     if not any(x._t):
         return 0
-    order = _bounds_order(x, 0)
-    if order is not None:
-        return order
+    sign = _bounds_sign(x)
+    if sign is not None:
+        return sign
     sa = exact_sign(x.a)
     sb = exact_sign(x.b)
     if sb == 0:
@@ -701,6 +701,18 @@ def _precision_schedule():
         if bits >= MAX_PRECISION_BITS:
             return
         bits *= 2
+
+
+def _bounds_sign(x: Scalar) -> Optional[int]:
+    """-1 or +1 when the fixed-point bounds of x exclude 0 at some precision
+    of the schedule; None when they never do (as for x = 0)."""
+    for bits in _precision_schedule():
+        lo, hi = _bounds(x, bits)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+    return None
 
 
 def _bounds_order(x: Scalar, y: Scalar) -> Optional[int]:
@@ -773,6 +785,13 @@ def _isqrt_bounds(lo: int, hi: int) -> Tuple[int, int]:
     """isqrt(lo) <= sqrt(t) <= the returned upper end, for lo <= t <= hi."""
     top = isqrt(hi)
     return isqrt(lo), top if top * top == hi else top + 1
+
+
+def _product_bounds(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+    """Integers enclosing u*v, for lo <= u <= hi and lo <= v <= hi given by
+    x and y."""
+    p = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(p), max(p)
 
 
 def sqrt_exact(x: Scalar) -> Optional[Scalar]:

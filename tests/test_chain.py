@@ -3,7 +3,7 @@ triangles.
 
 Each round glues a fresh pentagon onto the arrangement so that the shared
 maximum area gains seven more witnesses.  One round costs well under a
-tenth of a second of exact arithmetic, and three rounds about two seconds.
+tenth of a second of exact arithmetic, and three rounds well under one.
 """
 
 import hashlib
@@ -91,6 +91,20 @@ def test_combine_preserves_part_areas():
             assert status == PROPER
             got.append(area)
         assert sorted(got) == sorted(base.values())
+
+
+# sha256 of max_chain(k).to_text() for deeper chains; k = 1 is pinned with
+# the CLI (MAX_CHAIN_1_SHA256)
+MAX_CHAIN_TEXT_SHA256 = {
+    3: "2d855f90455f36e2f9b42ed1d3a3868611d7d1b4e55cf3250512a101035ae131",
+    4: "46a1b8c5c30bb141ed0b3e0f79bbd4b10872c170096b15ea4f843300a8f50c66",
+}
+
+
+@pytest.mark.parametrize("k", sorted(MAX_CHAIN_TEXT_SHA256))
+def test_deep_chain_text_is_pinned(k):
+    text = max_chain(k).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == MAX_CHAIN_TEXT_SHA256[k]
 
 
 def test_three_rounds():
@@ -327,14 +341,16 @@ def test_exact_tie_goes_to_the_earlier_triple(contact_calls):
 
 
 def test_undecided_bounds_keep_the_triple(monkeypatch, contact_calls):
-    bounds = chain._bounds
+    slide_bounds = chain._slide_bounds
 
-    def straddling(x, bits):
-        # the slide rate d1 = 4 of triples ((0, 1), (g,)) gets bounds that
-        # include 0, as a tiny nonzero rate would
-        return (-1, 1) if isinstance(x, Fraction) and x == 4 else bounds(x, bits)
+    def straddling(*args):
+        # the slide rate d1 = 4 of triples ((0, 1), (g,)), the only positive
+        # one of this slide, gets an enclosure that includes 0, as a tiny
+        # nonzero rate would
+        d0, d1, den = slide_bounds(*args)
+        return d0, (-1, 1) if d1[0] > 0 else d1, den
 
-    monkeypatch.setattr(chain, "_bounds", straddling)
+    monkeypatch.setattr(chain, "_slide_bounds", straddling)
     root, triple = _first_contact(*tied_slide())
     want_root, want_triple = first_contact_unfiltered(*tied_slide())
     assert (root_text(root), triple) == (root_text(want_root), want_triple)
@@ -357,7 +373,7 @@ def test_coarse_precision_filter_refines_to_one_or_two_triples():
     # the exact roots, and builds the same text as at 64 bits
     code = (
         "import hashlib\n"
-        "import triarea.chain as c\n"
+        "import triarea.chain as c, triarea.scalars as s\n"
         "per_slide, first, roots = [], c._first_contact, c._contact_roots\n"
         "def slide(*args):\n"
         "    per_slide.append(0)\n"
@@ -367,7 +383,7 @@ def test_coarse_precision_filter_refines_to_one_or_two_triples():
         "    return roots(*args)\n"
         "c._first_contact, c._contact_roots = slide, contact\n"
         "text = c.max_chain(2).to_text()\n"
-        "print(c.DEFAULT_PRECISION_BITS, hashlib.sha256(text.encode()).hexdigest(), *per_slide)\n"
+        "print(s.DEFAULT_PRECISION_BITS, hashlib.sha256(text.encode()).hexdigest(), *per_slide)\n"
     )
     env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
@@ -385,12 +401,12 @@ def test_coarse_precision_needs_no_algebraic_sign(tmp_path):
     code = (
         "import contextlib, hashlib, io, os, sys\n"
         "import triarea.chain as c, triarea.cli as cli, triarea.scalars as s\n"
-        "undecided, order = [], s._bounds_order\n"
-        "def counting(x, y):\n"
-        "    got = order(x, y)\n"
+        "undecided, sign = [], s._bounds_sign\n"
+        "def counting(x):\n"
+        "    got = sign(x)\n"
         "    undecided.append(got is None)\n"
         "    return got\n"
-        "s._bounds_order = counting\n"
+        "s._bounds_sign = counting\n"
         "text = c.max_chain(2).to_text()\n"
         "path = os.path.join(sys.argv[1], 'chain.lines')\n"
         "with open(path, 'w') as fh:\n"
@@ -407,6 +423,145 @@ def test_coarse_precision_needs_no_algebraic_sign(tmp_path):
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
         assert out.returncode == 0, out.stderr
         runs[bits] = out.stdout.split()
-    for exit_code, orders, undecided, *_ in runs.values():
-        assert (exit_code, undecided) == ("0", "0") and int(orders) > 1000
+    for exit_code, signs, undecided, *_ in runs.values():
+        assert (exit_code, undecided) == ("0", "0") and int(signs) > 1000
     assert runs["8"][3:] == runs["64"][3:]
+
+
+@pytest.fixture
+def exact_slides(monkeypatch):
+    """The (fixed, moving) lines of every exact (D0, D1, W) built."""
+    calls = []
+
+    def recording(fixed, moving, *args):
+        calls.append((fixed, moving))
+        return _slide_determinant(fixed, moving, *args)
+
+    monkeypatch.setattr(chain, "_slide_determinant", recording)
+    return calls
+
+
+def test_exact_determinants_only_for_survivors(max_chain_2_slides, exact_slides):
+    # every mixed triple is enclosed, but only the one or two that survive
+    # the root filter get an exact tower determinant
+    for args in max_chain_2_slides:
+        del exact_slides[:]
+        _first_contact(*args)
+        assert len(list(_cross_triples(len(args[0]), len(args[1])))) >= 100
+        assert 1 <= len(exact_slides) <= 2
+
+
+def test_rigid_triples_are_dropped_by_their_enclosure(max_chain_2_slides, monkeypatch, exact_slides):
+    # the first slide of max_chain(1) moves 10 triples rigidly (D1 = 0); their
+    # D1 enclosures are exactly (0, 0), so no exact determinant is built
+    lines_l, lines_k, vx, vy = max_chain_2_slides[0][:4]
+    rigid = [
+        (il, ik) for fixed, moving, (il, ik) in (
+            ([lines_k[g] for g in ik], [lines_l[i] for i in il], (il, ik))
+            for il, ik in _cross_triples(len(lines_l), len(lines_k))
+        )
+        if _slide_determinant(fixed, moving, vx, vy)[1] == 0
+    ]
+    assert len(rigid) == 10
+    d1_zero, slide_bounds = [], chain._slide_bounds
+
+    def recording(*args):
+        got = slide_bounds(*args)
+        d1_zero.append(got[1] == (0, 0))
+        return got
+
+    monkeypatch.setattr(chain, "_slide_bounds", recording)
+    del exact_slides[:]
+    root, triple = _first_contact(*max_chain_2_slides[0])
+    assert sum(d1_zero) == 10 and triple not in rigid
+    assert len(exact_slides) == 1
+
+
+def find_safe_interval_exact(lines, r, max_area):
+    """Oracle: the safe strip search with every parabola value exact."""
+    strip_line = Line(Fraction(-r), Fraction(1), Fraction(0))
+    offsets, parabolas = [], []
+    for l1, l2 in combinations(lines, 2):
+        d0, d1, w = _slide_determinant([l1, l2], [strip_line], Fraction(0), Fraction(1))
+        offsets.append(-d0 / d1)
+        parabolas.append((d1 * d1 / (2 * abs(w)), offsets[-1]))
+
+    def below(tau):
+        return exact_sign(chain._max_new_area(parabolas, tau) - max_area) < 0
+
+    lo = hi = offsets[0]
+    for o in offsets[1:]:
+        lo = o if exact_sign(o - lo) < 0 else lo
+        hi = o if exact_sign(o - hi) > 0 else hi
+    lo, hi = lo - 1, hi + 1
+    tau = None
+    for _ in range(300):
+        quarter = (hi - lo) / 4
+        probes = [lo + quarter, lo + 2 * quarter, lo + 3 * quarter]
+        tau = next((t for t in probes if below(t)), None)
+        if tau is not None:
+            break
+        vals = [chain._max_new_area(parabolas, t) for t in probes]
+        if exact_sign(vals[0] - vals[2]) <= 0:
+            hi = probes[2]
+        else:
+            lo = probes[0]
+    assert tau is not None
+    gap = None
+    for o in offsets:
+        d = abs(o - tau)
+        if exact_sign(d) != 0 and (gap is None or exact_sign(d - gap) < 0):
+            gap = d
+    gap = Fraction(1) if gap is None else gap
+    while any(exact_sign(o - tau) == 0 for o in offsets):
+        tau, gap = tau + gap / 2, gap / 2
+        assert below(tau)
+    delta = gap / 2
+    while not (below(tau - delta) and below(tau + delta)):
+        delta = delta / 2
+    return tau - delta, tau + delta
+
+
+@pytest.fixture(scope="module")
+def max_chain_3_parts():
+    """The arguments of every safe strip search in building max_chain(3):
+    both parts of each of its three rounds (those of max_chain(1) and (2)
+    come first)."""
+    parts = []
+
+    def recording(*args):
+        parts.append(args)
+        return find(*args)
+
+    find = chain._find_safe_interval
+    chain._find_safe_interval = recording
+    try:
+        max_chain(3)
+    finally:
+        chain._find_safe_interval = find
+    assert len(parts) == 6
+    return parts
+
+
+def test_filtered_safe_interval_matches_exact(max_chain_3_parts):
+    for args in max_chain_3_parts:
+        got = chain._find_safe_interval(*args)
+        assert list(map(repr, got)) == list(map(repr, find_safe_interval_exact(*args)))
+
+
+def test_overlapping_enclosures_take_the_exact_path(max_chain_3_parts, monkeypatch):
+    # an enclosure that meets every other sends each comparison to the exact
+    # parabola values, which decide it as before
+    want = [chain._find_safe_interval(*args) for args in max_chain_3_parts[:4]]
+    exact_calls, max_new_area = [], chain._max_new_area
+
+    def counting(*args):
+        exact_calls.append(args[1])
+        return max_new_area(*args)
+
+    monkeypatch.setattr(chain, "_max_new_area_bounds", lambda *args: (-1 << 4096, 1 << 4096))
+    monkeypatch.setattr(chain, "_max_new_area", counting)
+    for args, (t1, t2) in zip(max_chain_3_parts, want):
+        del exact_calls[:]
+        assert list(map(repr, chain._find_safe_interval(*args))) == [repr(t1), repr(t2)]
+        assert exact_calls

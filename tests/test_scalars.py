@@ -161,6 +161,20 @@ class TestPrecisionSchedule:
         monkeypatch.setattr(scalars, "DEFAULT_PRECISION_BITS", 8)
         assert list(scalars._precision_schedule()) == [8 << k for k in range(14)]  # 8 .. 65536
 
+    def test_sign_encloses_only_its_own_value(self, monkeypatch):
+        # a sign reads lo > 0 and hi < 0 of the value's own bounds: no
+        # enclosure of 0 is built to compare it against
+        calls, bounds = [], scalars._bounds
+
+        def recording(x, bits):
+            calls.append(x)
+            return bounds(x, bits)
+
+        monkeypatch.setattr(scalars, "_bounds", recording)
+        x = QuadExt(F(9, 4), F(-1), F(5))  # 9/4 - sqrt 5, about 0.014
+        assert exact_sign(x) == 1
+        assert calls and all(c is x for c in calls)
+
     def test_equal_values_stay_undecided(self):
         # one value in two representations: bounds never separate them
         root5 = QuadExt(F(0), F(1), F(5))
@@ -178,17 +192,17 @@ class TestPrecisionSchedule:
             p, q = p + 2 * q, p + q
         monkeypatch.setattr(scalars, "DEFAULT_PRECISION_BITS", 32)
         monkeypatch.setattr(scalars, "MAX_PRECISION_BITS", 64)
-        orders, order = [], scalars._bounds_order
+        signs, sign = [], scalars._bounds_sign
 
-        def recording(x, y):
-            orders.append(order(x, y))
-            return orders[-1]
+        def recording(x):
+            signs.append(sign(x))
+            return signs[-1]
 
-        monkeypatch.setattr(scalars, "_bounds_order", recording)
+        monkeypatch.setattr(scalars, "_bounds_sign", recording)
         for p, q in ((p, q), (p + 2 * q, p + q)):
             x = QuadExt(F(p), F(-q), F(2))
             assert exact_sign(x) == exact_sign(F(p * p - 2 * q * q)) != 0
-        assert orders == [None, None]
+        assert signs == [None, None]
 
 
 # a three-level tower over Q: sqrt 5, then sqrt(1 + sqrt 5), then
