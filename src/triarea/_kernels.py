@@ -7,7 +7,10 @@ vectorized numpy pass over the triples (i, j, k), j < k, of a run of
 (i, j) pairs, in lexicographic i<j<k order, with the same formula as the
 exact path: area D^2 / (2*|w12*w13*w23|), D the coefficient determinant
 and w the pair weights from one n x n table; parallel pairs are dropped
-before they are expanded into triples, and only proper triples are
+before they are expanded into triples, the third lines of a pair skip the
+large direction classes of its two lines (third_lines, so a
+three-direction grid expands only its triples with a line of each
+direction, about a third of the rows), and only proper triples are
 reduced.  census.py calls it block by block, so its int64 temporaries are
 O(block) and not O(C(n,3)); called without pairs it covers all C(n,3)
 triples.  combo_index_arrays and combo_rank map between a rank in that
@@ -22,6 +25,8 @@ arithmetic in census.py remains the fallback and the ground truth.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,9 +77,14 @@ def pair_triples(n: int, j: np.ndarray, *per_pair: np.ndarray) -> tuple[np.ndarr
     """The third lines K of the triples (i, j, k), j < k < n, of pairs with
     the given second lines j, pair by pair and k increasing, then each
     array of per_pair values repeated along its pair's triples."""
-    sizes = n - 1 - j
+    return _runs(n - 1 - j, j + 1, *per_pair)
+
+
+def _runs(sizes: np.ndarray, first: np.ndarray, *per_pair: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The runs first[p], first[p] + 1, ..., of sizes[p] values, pair by
+    pair, then each array of per_pair values repeated along its pair's run."""
     start = np.cumsum(sizes) - sizes
-    K = np.arange(int(sizes.sum())) - np.repeat(start - j - 1, sizes)
+    K = np.arange(int(sizes.sum())) - np.repeat(start - first, sizes)
     return (K, *(np.repeat(x, sizes) for x in per_pair))
 
 
@@ -103,38 +113,105 @@ def pair_weights(coeffs: np.ndarray) -> np.ndarray:
     return np.outer(a, b) - np.outer(b, a)
 
 
+class ThirdLines(NamedTuple):
+    """The third lines of each crossing pair (i, j): lines[first[at] :
+    first[at] + count[at]], increasing, with at = row[i] + col[j]."""
+
+    row: np.ndarray
+    col: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    lines: np.ndarray
+
+
+# a direction class is split off when its triples with two lines in it and
+# one outside are at least this share of the C(n,3) triples: a split costs
+# one gather per expanded row, too little to measure, and the share keeps
+# the classes split off few (each holds about 8.6% of the lines or more)
+SPLIT_SHARE = 0.02
+
+
+def third_lines(weights: np.ndarray) -> ThirdLines | None:
+    """Third lines by direction, for census_int64, from the pair weights of
+    an arrangement; None when no direction class is split off.
+
+    A triple with two parallel lines is never proper, so the third lines of
+    a crossing pair (i, j) need not include the lines parallel to i or j.
+    Each direction class D whose triples with exactly two lines in D are at
+    least SPLIT_SHARE of all triples is split off: its lines are third
+    lines only of pairs with no line in D.  The other lines, the rest, are
+    third lines of every pair, and census_int64 drops their parallel
+    triples after D.  With L classes split off, a pair's third lines
+    depend on the classes of i and j (one of L + 1, the rest counting as
+    one) and on j, so they are a run of one of (L + 1)^2 sorted lists.  On
+    a three-direction grid of m lines per direction a pair of two
+    directions expands the m lines of the third: m^3 rows in all, against
+    about 2/3 of C(3m,3) without the split.
+    """
+    n = len(weights)
+    if n < 3:
+        return None
+    cls = np.argmax(weights == 0, axis=1)  # the first line parallel to each, itself included
+    size = np.bincount(cls, minlength=n)
+    split = np.flatnonzero(size * (size - 1) // 2 * (n - size) >= SPLIT_SHARE * comb(n, 3))
+    if not len(split):
+        return None
+    m = len(split) + 1
+    group = np.full(n, m - 1)
+    group[split] = np.arange(m - 1)
+    group = group[cls]  # the class of each line, m - 1 for the rest
+    u = np.arange(m)
+    rest = group == m - 1
+    # the lines of each (class of i, class of j), one list per row
+    keep = ((group != u[:, None, None]) & (group != u[None, :, None]) | rest).reshape(m * m, n)
+    upto = np.cumsum(keep, axis=1)  # kept lines up to each j
+    total = upto[:, -1:]
+    first = np.cumsum(total) - total[:, 0]
+    return ThirdLines(group * (m * n), group * n + np.arange(n),
+                      (first[:, None] + upto).ravel(), (total - upto).ravel(), np.nonzero(keep)[1])
+
+
 def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None = None,
-                 weights: np.ndarray | None = None):
+                 weights: np.ndarray | None = None, third: ThirdLines | None = None):
     """(num, den, conc, pos) for the triples (i, j, k), j < k, of the given
     (i, j) pairs, or of all C(n,3) triples when pairs is None, with the pair
     weights from ``weights`` (pair_weights(coeffs) when not given): the
     reduced area D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights
     of each proper triple, the positions of the concurrent triples, and
     those of the proper triples, increasing.  A position counts the pairs'
-    triples in lexicographic order; the others have a parallel pair."""
+    triples in lexicographic order; the others have a parallel pair.  Only
+    the third lines k > j of ``third`` (third_lines) are expanded, or every
+    k > j when it is None."""
     n = len(coeffs)
     if weights is None:
         weights = pair_weights(coeffs)
     i, j = np.triu_indices(n, k=1) if pairs is None else pairs
+    size = n - 1 - j
+    base = np.cumsum(size) - size - j - 1  # triple (i, j, k) is at base + k
     w12 = weights[i, j]
     crossing = w12 != 0  # a pair of parallel lines has weight 0 and no proper triple
-    skipped = None
     if not crossing.all():
-        skipped = np.cumsum((n - 1 - j) * ~crossing)[crossing]  # triples dropped before each pair
-        i, j, w12 = i[crossing], j[crossing], w12[crossing]
+        i, j, w12, base = i[crossing], j[crossing], w12[crossing], base[crossing]
+    if third is None:
+        size, first = n - 1 - j, j + 1
+    else:
+        at = third.row[i] + third.col[j]
+        size, first = third.count.take(at), third.first.take(at)
     c = coeffs[:, 2]
     # repeats of per-pair values and flat takes beat gathers and 2-D
     # indexing; w13 and w23 start as the flat offsets of rows i and j
-    K, w13, w23, ci, cj, w12 = pair_triples(n, j, i * n, j * n, c[i], c[j], w12)
+    K, w13, w23, ci, cj, w12 = _runs(size, first, i * n, j * n, c[i], c[j], w12)
+    if third is not None:
+        K = third.lines.take(K)
     w13 = weights.ravel().take(w13 + K)
     w23 = weights.ravel().take(w23 + K)
     d = ci * w23 - cj * w13 + c[K] * w12
     den = w12 * w13
     den *= w23
-    del K, ci, cj, w12, w13, w23
-    pos = np.arange(len(d))
-    if skipped is not None:
-        pos += np.repeat(skipped, n - 1 - j)
+    del ci, cj, w12, w13, w23
+    pos = np.repeat(base, size)
+    pos += K
+    del K
     # one filter after D beats one before it on its six inputs; a zero weight here joins
     # distinct parallel lines, (a_k, b_k) = t*(a_i, b_i), so D = w12*(c_k - t*c_i) != 0
     proper = den != 0

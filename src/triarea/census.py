@@ -12,13 +12,15 @@ D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights: the C(n,2) pair
 weights w are computed once, and each triple costs one coefficient
 determinant D and its square (for a tower arrangement the only arithmetic
 in the deep field, since a and b stay in the base field).  The int64
-builder runs in blocks of about BLOCK_TRIPLES triples: each block is
-filled with PARALLEL_ID, the kernel's concurrent positions get
-CONCURRENT_ID, and its (num, den) pairs, one per proper triple, are
-grouped into classes (_group: a float64 key sort certified pair by pair,
-exact lexsort as the fallback) whose ids go to the proper positions;
-then the blocks' classes are merged by the same grouping, whose
-sort is kept as the class order.  Memory is the 4-byte table plus one
+builder groups the lines by direction once (_kernels.third_lines), so
+that the kernel expands no third line of a large direction class for a
+pair holding a line of it, and runs in blocks of about BLOCK_TRIPLES
+triples: each block is filled with PARALLEL_ID, the kernel's concurrent
+positions get CONCURRENT_ID, and its (num, den) pairs, one per proper
+triple, are grouped into classes (_group: a float64 key sort certified
+pair by pair, exact lexsort as the fallback) whose ids go to the proper
+positions; then the blocks' classes are merged by the same grouping,
+whose sort is kept as the class order.  Memory is the 4-byte table plus one
 block plus O(classes); check_memory refuses, with CensusMemoryError, a
 table and block that do not fit, and once the first block shows the rate
 of new classes, classes that will not fit in the merge.  Counts, the
@@ -61,8 +63,9 @@ PARALLEL_ID = -2
 
 # triples per block of the int64 builder, and a bound on the bytes of one
 # block's temporaries per triple (kernel and grouping, each block's arrays
-# released before the next; tracemalloc measures 72 on random blocks and 44
-# on grid blocks, doubled here for allocator slack)
+# released before the next; tracemalloc measures 72 on random blocks and 17
+# on grid blocks, whose split directions expand a third of the rows,
+# doubled here for allocator slack)
 BLOCK_TRIPLES = 2**16
 BLOCK_BYTES_PER_TRIPLE = 144
 # a bound on the bytes per class entry of the blocks' merge (the (num, den,
@@ -402,6 +405,7 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     n = len(coeffs)
     class_ids = np.empty(comb(n, 3), dtype=np.int32)
     weights = _kernels.pair_weights(coeffs)
+    third = _kernels.third_lines(weights)
     i, j = np.triu_indices(n, k=1)
     ends = np.cumsum(n - 1 - j)  # triples up to each pair's last
     last = (ends - 1) // BLOCK_TRIPLES  # the block of each pair's last triple
@@ -416,7 +420,7 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     classes = np.empty((3, min(len(class_ids), 4 * BLOCK_TRIPLES) if merge else 0), dtype=np.int64)
     found = concurrent = 0
     for p0, p1, t0, t1 in zip(pair_at[:-1], pair_at[1:], rank_at[:-1], rank_at[1:]):
-        num, den, conc, pos = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights)
+        num, den, conc, pos = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights, third)
         block = class_ids[t0:t1]
         block.fill(PARALLEL_ID)
         block[conc] = CONCURRENT_ID

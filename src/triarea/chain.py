@@ -131,8 +131,9 @@ def _find_safe_interval(
     triangles on opposite sides, impossible when nothing is parallel).  A
     quartering search finds a sub-maximum point, then the interval shrinks
     until it clears all vertex offsets.  Each comparison of a probe's max
-    with the maximum area or another probe's reads enclosures first
-    (_max_new_area_bounds), and exact values only where these meet.
+    with the maximum area or another probe's reads enclosures
+    (_max_new_area_bounds) along the precision schedule, and exact values
+    only where these still meet at its last precision.
     """
     strip_line = Line(Fraction(-r), Fraction(1), Fraction(0))
     offsets = []
@@ -147,16 +148,21 @@ def _find_safe_interval(
         offsets.append(root)
         parabolas.append((d1 * d1 / (2 * abs(w)), root))
 
-    bits = next(_precision_schedule())
-    enclosed = [(_bounds(alpha, bits), _bounds(root, bits)) for alpha, root in parabolas]
-    a_lo, a_hi = _bounds(max_area, bits)
+    enclosures = {}  # per precision: the parabolas' (alpha, root) and max_area's
 
     def order(s, t=None):
         """Order of the max at s against the max at t, or against max_area."""
-        s_lo, s_hi = _max_new_area_bounds(enclosed, s, bits)
-        t_lo, t_hi = (a_lo << 2 * bits, a_hi << 2 * bits) if t is None else _max_new_area_bounds(enclosed, t, bits)
-        if s_hi < t_lo or t_hi < s_lo:
-            return -1 if s_hi < t_lo else 1
+        for bits in _precision_schedule():
+            if bits not in enclosures:
+                enclosures[bits] = (
+                    [(_bounds(alpha, bits), _bounds(root, bits)) for alpha, root in parabolas],
+                    _bounds(max_area, bits),
+                )
+            enclosed, (a_lo, a_hi) = enclosures[bits]
+            s_lo, s_hi = _max_new_area_bounds(enclosed, s, bits)
+            t_lo, t_hi = (a_lo << 2 * bits, a_hi << 2 * bits) if t is None else _max_new_area_bounds(enclosed, t, bits)
+            if s_hi < t_lo or t_hi < s_lo:
+                return -1 if s_hi < t_lo else 1
         return exact_sign(_max_new_area(parabolas, s) - (max_area if t is None else _max_new_area(parabolas, t)))
 
     lo = hi = offsets[0]

@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -419,6 +420,7 @@ def _cmd_reproduce_table1(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@cache  # parse_args leaves the parser as it was, so one serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triarea",

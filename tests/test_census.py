@@ -569,7 +569,8 @@ def test_group_certifies_float_ties(monkeypatch, areas):
     # two blocks, and a stand-in kernel gives each triple its area above
     arr = Arrangement([Line(1, 0, 0), Line(0, 1, 0), Line(1, 1, 1), Line(1, 2, 5)])
 
-    def kernel(coeffs, pairs, weights):
+    def kernel(coeffs, pairs, weights, third):
+        assert third is None  # no two of the four lines are parallel
         ranks = _kernels.combo_rank(len(coeffs), *_kernels.pair_triples(len(coeffs), pairs[1], *pairs))
         num, den = np.array(areas, dtype=np.int64)[ranks].T
         return num.copy(), den.copy(), np.zeros(0, np.int64), np.arange(len(ranks))

@@ -550,8 +550,10 @@ def test_filtered_safe_interval_matches_exact(max_chain_3_parts):
 
 
 def test_overlapping_enclosures_take_the_exact_path(max_chain_3_parts, monkeypatch):
-    # an enclosure that meets every other sends each comparison to the exact
-    # parabola values, which decide it as before
+    # an enclosure that meets every other at every precision of the schedule
+    # sends each comparison to the exact parabola values, which decide it as
+    # before; max_area's bound is scaled by 2^(3*bits), so the stand-in grows
+    # with bits to meet it
     want = [chain._find_safe_interval(*args) for args in max_chain_3_parts[:4]]
     exact_calls, max_new_area = [], chain._max_new_area
 
@@ -559,9 +561,35 @@ def test_overlapping_enclosures_take_the_exact_path(max_chain_3_parts, monkeypat
         exact_calls.append(args[1])
         return max_new_area(*args)
 
-    monkeypatch.setattr(chain, "_max_new_area_bounds", lambda *args: (-1 << 4096, 1 << 4096))
+    def meeting(enclosed, tau, bits):
+        return -1 << 4096 + 3 * bits, 1 << 4096 + 3 * bits
+
+    monkeypatch.setattr(chain, "_max_new_area_bounds", meeting)
     monkeypatch.setattr(chain, "_max_new_area", counting)
     for args, (t1, t2) in zip(max_chain_3_parts, want):
         del exact_calls[:]
         assert list(map(repr, chain._find_safe_interval(*args))) == [repr(t1), repr(t2)]
         assert exact_calls
+
+
+def test_safe_interval_climbs_the_schedule_before_exact_values():
+    # at 8 bits the enclosures of close probes meet; the next precisions of
+    # the schedule separate them, so the max_chain(3) build evaluates no
+    # parabola exactly and prints the pinned text
+    code = (
+        "import hashlib\n"
+        "import triarea.chain as c\n"
+        "import triarea.scalars as s\n"
+        "calls, exact = [], c._max_new_area\n"
+        "def counting(*args):\n"
+        "    calls.append(args)\n"
+        "    return exact(*args)\n"
+        "c._max_new_area = counting\n"
+        "text = c.max_chain(3).to_text()\n"
+        "print(s.DEFAULT_PRECISION_BITS, len(calls), hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    env = dict(os.environ, TRIAREA_PRECISION_BITS="8")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    bits, calls, digest = out.stdout.split()
+    assert (bits, calls) == ("8", "0"), out.stderr
+    assert digest == MAX_CHAIN_TEXT_SHA256[3]

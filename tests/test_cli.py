@@ -218,6 +218,31 @@ def test_pipe_subprocess():
     assert got.stdout.strip() == "24"
 
 
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path):
+    # census --json, then human census, in one process print the bytes of
+    # two fresh processes, and the parser is built once
+    path = tmp_path / "hex.lines"
+    assert main(["generate", "hexgrid", "-n", "12", "-o", str(path)]) == EXIT_OK
+    runs = [["census", "--json", str(path)], ["census", str(path)]]
+    code = (
+        "import sys\n"
+        "from triarea import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == cli.EXIT_OK\n"
+        "print('parsers', cli._build_parser.cache_info().misses)\n"
+    )
+
+    def stdout(*argv):
+        got = subprocess.run([sys.executable, *argv], capture_output=True, text=True, timeout=300)
+        assert got.returncode == 0, got.stderr
+        # the human report ends with its wall time
+        return "".join(line for line in got.stdout.splitlines(True) if not line.startswith("elapsed "))
+
+    fresh = "".join(stdout("-m", "triarea.cli", *argv) for argv in runs)
+    assert '"command": "census"' in fresh
+    assert stdout("-c", code) == fresh + "parsers 1\n"
+
 # sha256 of `generate max-chain -k 1` and of `census --json` on its output,
 # recorded before the census and the chain moved to the coefficient
 # determinant; the tower arithmetic must not change a byte of either

@@ -1,6 +1,8 @@
 """Integer kernel tests: agreement with the exact census, triple ranks, the
 crossing order and the int64 safety gate."""
 
+import importlib
+import random
 from fractions import Fraction
 from itertools import permutations
 from math import comb
@@ -16,10 +18,12 @@ from triarea.census import (
     ring_coefficients,
     select_backend,
 )
-from triarea.constructions import hexgrid, random_arrangement, trigrid
+from triarea.constructions import hexgrid, random_arrangement, random_general_position, trigrid
 from triarea.scalars import QuadExt
 
 from test_census import oracle_facial_triangles
+
+census_module = importlib.import_module("triarea.census")
 
 
 def _coeffs(arr):
@@ -165,24 +169,46 @@ def _kernel_reference(coeffs, pairs=None):
     return pos, areas, conc
 
 
+def _shuffled(lines, seed=0):
+    lines = list(lines)
+    random.Random(seed).shuffle(lines)
+    return Arrangement(lines)
+
+
 PARALLEL_FREE = random_arrangement(12, seed=4)
+# inputs whose direction classes third_lines splits off, in shuffled order:
+# three large classes and lines of directions of their own, so that both
+# kinds of third line meet in one pair's run; many classes of mixed sizes,
+# the small ones left with the rest; one class holding all lines but two
+SPLIT_CASES = {
+    "three-classes-and-singletons": _shuffled(
+        [Line(a, b, c) for a, b in ((1, 0), (0, 1), (1, 1)) for c in range(-3, 4)]
+        + [Line(1, s, 2 * s - 1) for s in (2, 3, -2, 5, -3)]
+    ),
+    "mid-size-classes": _shuffled(random_arrangement(40, seed=3, coeff_bound=3).lines),
+    "all-but-two-parallel": _shuffled([Line(1, 2, c) for c in range(10)] + [Line(1, 0, 0), Line(0, 1, 3)]),
+}
 KERNEL_CASES = {
     "hexgrid8": hexgrid(8),
     "trigrid9": trigrid(9),
     "random": PARALLEL_FREE,
     "all-parallel": Arrangement([Line(1, 1, c) for c in range(6)]),
     "all-concurrent": Arrangement([Line(a, b, 0) for a, b in ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1))]),
+    **SPLIT_CASES,
 }
 
 
 def _assert_kernel_matches(coeffs, pairs=None):
-    num, den, conc, pos = _kernels.census_int64(coeffs, pairs)
+    # with every k > j as third line, and with the third lines by direction
+    third = _kernels.third_lines(_kernels.pair_weights(coeffs))
     want_pos, want_areas, want_conc = _kernel_reference(coeffs, pairs)
-    assert all(x.dtype == np.int64 for x in (num, den, conc, pos))
-    assert np.all(np.diff(pos) > 0)
-    assert pos.tolist() == want_pos
-    assert list(zip(num.tolist(), den.tolist())) == want_areas
-    assert conc.tolist() == want_conc
+    for lines in (None, third):
+        num, den, conc, pos = _kernels.census_int64(coeffs, pairs, None, lines)
+        assert all(x.dtype == np.int64 for x in (num, den, conc, pos))
+        assert np.all(np.diff(pos) > 0)
+        assert pos.tolist() == want_pos
+        assert list(zip(num.tolist(), den.tolist())) == want_areas
+        assert conc.tolist() == want_conc
     return len(pos)
 
 
@@ -194,6 +220,56 @@ def test_kernel_matches_exact_walk(name):
     i, j = np.triu_indices(len(coeffs), k=1)
     for p0 in range(0, len(i), max(1, len(i) // 3)):
         _assert_kernel_matches(coeffs, (i[p0 : p0 + 9], j[p0 : p0 + 9]))
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_split_directions_match_exact_census_in_small_blocks(name, monkeypatch):
+    arr = SPLIT_CASES[name]
+    assert _kernels.third_lines(_kernels.pair_weights(_coeffs(arr))) is not None
+    exact = census(arr, backend="exact")
+    monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 24)
+    fast = census(arr, backend="numpy")
+    assert np.array_equal(fast.class_ids, exact.class_ids)
+    assert (fast.parallel_count, fast.concurrent_count, fast.class_counts) == (
+        exact.parallel_count,
+        exact.concurrent_count,
+        exact.class_counts,
+    )
+    assert fast.areas == exact.areas
+
+
+def _census_rows(arr):
+    """The rows the census kernel expands over the whole census of arr."""
+    rows, runs = [], _kernels._runs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "_runs", lambda *args: rows.append(int(args[0].sum())) or runs(*args))
+        census(arr)
+    return sum(rows)
+
+
+@pytest.mark.parametrize("grid", [hexgrid, trigrid])
+def test_grids_expand_only_mixed_direction_triples(grid, monkeypatch):
+    # the kagome and the triangular grid of facial-grid's size: 50 lines in
+    # each of three directions, in shuffled order; only the 50^3 triples with
+    # a line of each direction are expanded, not every triple of a crossing
+    # pair as without the split
+    arr = _shuffled(grid(150).lines, seed=1)
+    coeffs = _coeffs(arr)
+    weights = _kernels.pair_weights(coeffs)
+    assert np.bincount(np.argmax(weights == 0, axis=1)).max() == 50
+    assert _census_rows(arr) == 125_000
+    i, j = np.triu_indices(len(coeffs), k=1)
+    crossing = int(((len(coeffs) - 1 - j) * (weights[i, j] != 0)).sum())
+    monkeypatch.setattr(_kernels, "third_lines", lambda weights: None)
+    assert _census_rows(arr) == crossing == 370_576
+
+
+def test_parallel_free_input_expands_every_triple():
+    arr = random_general_position(40, seed=5)
+    coeffs = _coeffs(arr)
+    assert _kernels.int64_safe(coeffs)
+    assert _kernels.third_lines(_kernels.pair_weights(coeffs)) is None
+    assert _census_rows(arr) == comb(40, 3)
 
 
 def test_kernel_on_only_parallel_pairs_and_on_no_parallel_pair():
