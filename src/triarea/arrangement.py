@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
@@ -283,6 +284,11 @@ class AffineMap:
         return (self.m11 * x + self.m12 * y + self.tx, self.m21 * x + self.m22 * y + self.ty)
 
     def inverse(self) -> "AffineMap":
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "AffineMap":
+        """Computed once per map: apply_line reads it for every line."""
         d = self.det()
         i11 = self.m22 / d
         i12 = -self.m12 / d
@@ -306,7 +312,7 @@ class AffineMap:
         )
 
     def apply_line(self, line: Line) -> Line:
-        inv = self.inverse()
+        inv = self._inverse
         a, b, c = line.a, line.b, line.c
         return Line(
             a * inv.m11 + b * inv.m21,

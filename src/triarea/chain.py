@@ -15,7 +15,10 @@ same maximum area A:
     exactly only where these meet.
  2. Place the parts by determinant-one maps: L's strip horizontal and tall,
     K's strip vertical and wide, so each part's lines thread the other's
-    gates.  The union then has exactly T(L) + T(K) maximum triangles.
+    gates.  The union then has exactly T(L) + T(K) maximum triangles.  Each
+    scale lam = 2^i is tested on the normalized lines alone, as a move by
+    (x, y) -> (-mu*y, x/mu) with mu = lam^2, and the placed lines are built
+    once, for the lam found.
  3. Slide K's image horizontally to the first parameter where some mixed
     triple reaches area A (smallest positive root of the per-triple
     quadratics; roots may require adjoining a square root to the scalar
@@ -210,63 +213,38 @@ def _find_safe_interval(
 
 
 def _normalize_part(lines: Sequence[Line], max_area: Scalar) -> Tuple[List[Line], SafeStrip]:
-    """Map the part by a determinant-one map so its safe strip is the
+    """Map the part by one determinant-one map so its safe strip is the
     horizontal band lo <= y <= hi centered at zero, and compute gates."""
     r = _strip_direction(lines)
     t1, t2 = _find_safe_interval(lines, r, max_area)
-    strip_line = Line(Fraction(-r), Fraction(1), Fraction(0))
-    amap = horizontal_map(strip_line)
+    amap = horizontal_map(Line(Fraction(-r), Fraction(1), Fraction(0)))
+    # amap's second row is the canonical strip line's (a, b) = +-(-r, 1), so
+    # it sends the strip line -r*x + y = t to y = m22*t
+    amap = AffineMap.translation(Fraction(0), -amap.m22 * (t1 + t2) / 2).compose(amap)
     moved = [amap.apply_line(l) for l in lines]
-    b1 = amap.apply_line(Line(Fraction(-r), Fraction(1), -t1))
-    b2 = amap.apply_line(Line(Fraction(-r), Fraction(1), -t2))
-    y1 = -b1.c / b1.b
-    y2 = -b2.c / b2.b
-    if exact_sign(y1 - y2) > 0:
-        y1, y2 = y2, y1
-    mid = (y1 + y2) / 2
-    shift = AffineMap.translation(Fraction(0), -mid)
-    moved = [shift.apply_line(l) for l in moved]
-    y1, y2 = y1 - mid, y2 - mid
-    xs = []
+    half = (t2 - t1) / 2
+    gate = None
     for l in moved:
-        for yy in (y1, y2):
+        for yy in (-half, half):
             # crossing of l with the boundary y = yy (l is never horizontal)
-            xs.append((-l.c - l.b * yy) / l.a)
-    gate = abs(xs[0])
-    for x in xs[1:]:
-        if exact_sign(abs(x) - gate) > 0:
-            gate = abs(x)
-    return moved, SafeStrip(lo=y1, hi=y2, gate_x=gate + 1)
-
-
-def _scale_part(lines: Sequence[Line], strip: SafeStrip, lam: int) -> Tuple[List[Line], SafeStrip]:
-    """(x, y) -> (x/lam, lam*y): keeps the strip horizontal, multiplies its
-    height by lam and divides gate positions by lam."""
-    out = [Line(l.a * lam, l.b / lam, l.c) for l in lines]
-    return out, SafeStrip(lo=strip.lo * lam, hi=strip.hi * lam, gate_x=strip.gate_x / lam)
+            x = abs((-l.c - l.b * yy) / l.a)
+            if gate is None or exact_sign(x - gate) > 0:
+                gate = x
+    return moved, SafeStrip(lo=-half, hi=half, gate_x=gate + 1)
 
 
 _ROT90 = AffineMap(Fraction(0), Fraction(-1), Fraction(1), Fraction(0), Fraction(0), Fraction(0))
 
 
-def _crosses_vertical_gates(line: Line, strip: SafeStrip) -> bool:
-    """Does the line cross both gate segments x = +-gate_x, lo<y<hi?"""
-    if exact_sign(line.b) == 0:
-        return False
-    for sgn in (1, -1):
-        y = (-line.c - line.a * (strip.gate_x * sgn)) / line.b
-        if exact_sign(y - strip.lo) <= 0 or exact_sign(strip.hi - y) <= 0:
-            return False
-    return True
-
-
-def _crosses_horizontal_gates(line: Line, strip: SafeStrip) -> bool:
-    """Gates of a rotated (vertical) strip: y = +-gate_x, lo<x<hi."""
+def _threads(line: Line, strip: SafeStrip, mu: Scalar) -> bool:
+    """Does the line, moved by (x, y) -> (-mu*y, x/mu), cross both gate
+    segments x = +-gate_x, lo < y < hi of the strip?  The moved line is
+    -(b/mu)*x + a*mu*y + c = 0."""
     if exact_sign(line.a) == 0:
         return False
     for sgn in (1, -1):
-        x = (-line.c - line.b * (strip.gate_x * sgn)) / line.a
-        if exact_sign(x - strip.lo) <= 0 or exact_sign(strip.hi - x) <= 0:
+        y = (line.b * strip.gate_x * sgn / mu - line.c) / (line.a * mu)
+        if exact_sign(y - strip.lo) <= 0 or exact_sign(strip.hi - y) <= 0:
             return False
     return True
 
@@ -275,22 +253,29 @@ def _place_parts(
     part_l: Sequence[Line], part_k: Sequence[Line], max_area: Scalar
 ) -> Tuple[List[Line], List[Line]]:
     """Determinant-one placements making every line of each part thread the
-    other part's gates, with no parallel pair across parts."""
+    other part's gates, with no parallel pair across parts.
+
+    The placements are L scaled by (x, y) -> (x/lam, lam*y) and K scaled
+    alike, then turned by _ROT90, for the first lam = 2^i that works.  Seen
+    from either part's unscaled frame, the other part's placed lines are
+    its normalized lines moved by (x, y) -> (-mu*y, x/mu), mu = lam^2, up to
+    a point reflection that keeps the centred strips.  So _threads tests
+    each lam on the normalized lines, lines are parallel across the parts
+    exactly when a_l*a_k*mu^2 + b_l*b_k = 0, and the placed lines are built
+    once, after lam is found."""
     base_l, strip_l = _normalize_part(part_l, max_area)
     base_k, strip_k = _normalize_part(part_k, max_area)
     lam = 1
     for _ in range(64):
-        lines_l, sl = _scale_part(base_l, strip_l, lam)
-        lines_k, sk = _scale_part(base_k, strip_k, lam)
-        lines_k = [_ROT90.apply_line(l) for l in lines_k]
-        sk_rot = sk  # strip now vertical: |x| band, gates at y = +-gate_x
-        ok = all(_crosses_vertical_gates(g, sl) for g in lines_k) and all(
-            _crosses_horizontal_gates(l, sk_rot) for l in lines_l
-        )
-        if ok:
-            dirs = {l.direction() for l in lines_l}
-            if not any(g.direction() in dirs for g in lines_k):
-                return lines_l, lines_k
+        mu = lam * lam
+        if (
+            all(_threads(g, strip_l, mu) for g in base_k)
+            and all(_threads(l, strip_k, mu) for l in base_l)
+            and all(exact_sign(l.a * g.a * mu * mu + l.b * g.b) for l in base_l for g in base_k)
+        ):
+            scale = AffineMap(Fraction(1, lam), Fraction(0), Fraction(0), Fraction(lam), Fraction(0), Fraction(0))
+            turn = _ROT90.compose(scale)
+            return [scale.apply_line(l) for l in base_l], [turn.apply_line(g) for g in base_k]
         lam *= 2
     raise ChainError("no unimodular placement found")
 

@@ -96,6 +96,7 @@ def test_combine_preserves_part_areas():
 # sha256 of max_chain(k).to_text() for deeper chains; k = 1 is pinned with
 # the CLI (MAX_CHAIN_1_SHA256)
 MAX_CHAIN_TEXT_SHA256 = {
+    2: "621f74a5a4c88c0e3e3d29f9762f91a2732d35854a95309135116323c6da1e33",
     3: "2d855f90455f36e2f9b42ed1d3a3868611d7d1b4e55cf3250512a101035ae131",
     4: "46a1b8c5c30bb141ed0b3e0f79bbd4b10872c170096b15ea4f843300a8f50c66",
 }
@@ -120,14 +121,16 @@ def test_serialization_round_trip():
     # chained towers print with zero layers peeled, so parsing yields lines
     # in mixed sibling shapes; the arrangement must still reconstruct the
     # same field, the same census, and the same bytes on re-serialization
-    arr = max_chain(1)
-    text = arr.to_text()
-    back = Arrangement.from_text(text)
-    assert back.to_text() == text
-    assert back.lines == arr.lines
-    c1, c2 = census(arr), census(back)
-    assert dict(c1.area_counts) == dict(c2.area_counts)
-    assert c2.count(c2.max_area) == 12
+    # (k <= 2; deeper chains do not parse yet, see the README's file format)
+    for k in (1, 2):
+        arr = max_chain(k)
+        text = arr.to_text()
+        back = Arrangement.from_text(text)
+        assert back.to_text() == text
+        assert back.lines == arr.lines
+        c1, c2 = census(arr), census(back)
+        assert dict(c1.area_counts) == dict(c2.area_counts)
+        assert c2.count(c2.max_area) == 5 + 7 * k
 
 
 def three_point_polynomial(fixed, moving, vx, vy):
@@ -593,3 +596,87 @@ def test_safe_interval_climbs_the_schedule_before_exact_values():
     bits, calls, digest = out.stdout.split()
     assert (bits, calls) == ("8", "0"), out.stderr
     assert digest == MAX_CHAIN_TEXT_SHA256[3]
+
+
+@pytest.fixture(scope="module")
+def max_chain_3_normalized():
+    """The normalized parts (L, K) of each of max_chain(3)'s three rounds,
+    each a (lines, strip) pair."""
+    parts = []
+
+    def recording(*args):
+        parts.append(normalize(*args))
+        return parts[-1]
+
+    normalize = chain._normalize_part
+    chain._normalize_part = recording
+    try:
+        max_chain(3)
+    finally:
+        chain._normalize_part = normalize
+    assert len(parts) == 6
+    return list(zip(parts[::2], parts[1::2]))
+
+
+def crosses_gates(line, strip, turned=False):
+    """Oracle: does the line cross both gate segments of the strip, at
+    x = +-gate_x with lo < y < hi, or, turned, at y = +-gate_x with
+    lo < x < hi?"""
+    u, v = (line.b, line.a) if turned else (line.a, line.b)
+    if exact_sign(v) == 0:
+        return False
+    for sgn in (1, -1):
+        t = (-line.c - u * strip.gate_x * sgn) / v
+        if exact_sign(t - strip.lo) <= 0 or exact_sign(strip.hi - t) <= 0:
+            return False
+    return True
+
+
+def test_threads_matches_gates_of_scaled_and_turned_parts(max_chain_3_normalized):
+    # the placement tests lam on the normalized lines with mu = lam^2; here
+    # both parts are scaled by (x, y) -> (x/lam, lam*y), K is turned by
+    # _ROT90 (its centred strip turns into the band lo < x < hi), and the
+    # gates are tested on the placed lines themselves
+    for (base_l, strip_l), (base_k, strip_k) in max_chain_3_normalized:
+        for lam in range(1, 65):
+            def scaled(lines, strip):
+                return (
+                    [Line(l.a * lam, l.b / lam, l.c) for l in lines],
+                    chain.SafeStrip(lo=strip.lo * lam, hi=strip.hi * lam, gate_x=strip.gate_x / lam),
+                )
+
+            lines_l, sl = scaled(base_l, strip_l)
+            lines_k, sk = scaled(base_k, strip_k)
+            lines_k = [chain._ROT90.apply_line(g) for g in lines_k]
+            mu = lam * lam
+            assert [chain._threads(g, strip_l, mu) for g in base_k] == [crosses_gates(g, sl) for g in lines_k]
+            assert [chain._threads(l, strip_k, mu) for l in base_l] == [crosses_gates(l, sk, True) for l in lines_l]
+            assert [exact_sign(l.a * g.a * mu * mu + l.b * g.b) == 0 for l in base_l for g in base_k] == [
+                l.is_parallel_to(g) for l in lines_l for g in lines_k
+            ]
+
+
+def test_placement_builds_each_placed_line_once(monkeypatch):
+    # each part is normalized by one map and the placed lines are built
+    # after lam is found, not for every lam tried: max_chain(1) builds 24
+    # lines in _place_parts and max_chain(3) 102
+    built, active, init, place = [], [], Line.__init__, chain._place_parts
+
+    def counting(self, *args):
+        if active:
+            built.append(1)
+        init(self, *args)
+
+    def placing(*args):
+        active.append(True)
+        try:
+            return place(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(Line, "__init__", counting)
+    monkeypatch.setattr(chain, "_place_parts", placing)
+    for k, most in ((1, 32), (3, 126)):
+        del built[:]
+        max_chain(k)
+        assert 0 < len(built) <= most
