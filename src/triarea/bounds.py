@@ -7,9 +7,11 @@ graph).  Both graphs are always forests, which caps the number of
 maximum-area triangles on any line at 2(n-2).
 
 The edge test is the frame formula with every denominator multiplied out:
-one division-free identity between ring elements of the coefficients,
-evaluated over all pairs of a reference line at once, for rational and
-tower arrangements alike (see build_gell_graphs).
+one division-free identity between ring elements of the coefficients, for
+rational and tower arrangements alike.  Its images in F_P filter the pairs
+first, since a ring homomorphism preserves equality; P is 2^31 - 1, or the
+first prime below it that suits a tower.  Only pairs whose images agree
+take the exact test, and all do when no prime suits (see build_gell_graphs).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .census import (
     ring_coefficients,
     triples_with_area,
 )
-from .scalars import Scalar, exact_sign
+from .scalars import Scalar, _field_of, exact_sign, residue
 
 
 def kobon_bound(n: int) -> int:
@@ -118,6 +120,12 @@ class GellGraph:
         return len(self.e_plus) + len(self.e_minus)
 
 
+# the residue filter of build_gell_graphs: the prime for rational input and
+# the first candidate for a tower, and how far below it a tower's prime may lie
+PRIME = 2**31 - 1
+PRIME_SEARCH = 1 << 18
+
+
 def build_gell_graphs(
     arr: Arrangement, ell_index: int, max_area: Optional[Scalar] = None
 ) -> GellGraph:
@@ -137,49 +145,99 @@ def build_gell_graphs(
     pair's triangle has area s*(x_p - x_q)^2 / (2*|y_p - y_q|) with
     s = dx^2 + dy^2, so it is an edge exactly when NY != 0 and
     |s*NX^2*DY| = |2*max_area*NY*DX^2|, that is when the two products are
-    equal or opposite: no division, and no sign per pair.  All pairs are
-    tested at once on the columns of the arrangement's cached
-    ring_coefficients (Python ints for rational input, with the denominator
-    of 2*max_area folded into s; peeled QuadExt values for towers), so the
-    per-line calls of verify_arrangement share one matrix.  Exact signs are
-    taken only on the edges: an edge is plus when sign(NX)*sign(DX) =
-    sign(NY)*sign(DY).  The test never reads the census table, so the edge
-    totals are an independent check of it.
+    equal or opposite: no division, and no sign per pair.
+
+    All pairs are first tested at once in F_P, on int64 residues
+    (_residue_ring).  A ring homomorphism preserves equality, so a pair
+    whose sides map to residues neither equal nor opposite is no edge.
+    P = PRIME = 2^31 - 1 for rational input; for a tower, the first prime
+    = 3 (mod 4) from PRIME down, within PRIME_SEARCH, that maps every
+    level's square root (_Field.residues) and inverts every denominator.
+    The other pairs, or all when no prime suits, take the exact test on the
+    cached ring_coefficients (Python ints for rational input, with the
+    denominator of 2*max_area folded into s; peeled QuadExt values for
+    towers).  An edge is plus when sign(NX)*sign(DX) = sign(NY)*sign(DY).
+    The test never reads the census table, so the edge totals are an
+    independent check of it.
     """
     if max_area is None:
         max_area = census(arr).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
     ring = ring_coefficients(arr)
-    a0, b0, c0 = ring[ell_index]
+    a0, b0, _ = ring[ell_index]
     dx, dy = map(_ring_leaf, arr.lines[ell_index].direction())
     s, t = dx * dx + dy * dy, _ring_leaf(2 * max_area)
     if isinstance(t, Fraction):
         s, t = s * t.denominator, t.numerator
     along_x = exact_sign(dx) != 0
-    d = dx if along_x else dy
-    a, b, c = ring.T
-    w = b * a0 - a * b0
+    w = ring[:, 1] * a0 - ring[:, 0] * b0
     keep = np.flatnonzero(w.astype(bool))  # the lines crossing ell, ell itself not among them
-    a, b, c, w = a[keep], b[keep], c[keep], w[keep]
-    u = c * b0 - b * c0 if along_x else a * c0 - c * a0
-    dot, cr = b * dx - a * dy, -(a * dx) - b * dy
-    keep = keep.tolist()
     p, q = np.triu_indices(len(keep), 1)
-    nx = u[p] * w[q] - u[q] * w[p]
-    dxx = w[p] * w[q] * d
-    ny = dot[p] * cr[q] - dot[q] * cr[p]
-    dyy = cr[p] * cr[q]
-    lhs = nx * nx * dyy * s
-    rhs = ny * dxx * dxx * t
-    hits = np.flatnonzero((ny != 0) & ((lhs == rhs) | (lhs == -rhs)))
+    found = _residue_ring(arr)
+    images = found and [residue(x, found[1], found[0]) for x in (dx, dy, s, t)]
+    if images and None not in images:
+        prime, _, phi = found
+        lhs, rhs = _identity(phi[keep], phi[ell_index], *images, along_x, p, q, prime)[4:]
+        agree = np.flatnonzero((lhs == rhs) | (lhs == prime - rhs))
+        p, q = p[agree], q[agree]
+    e_plus, e_minus = _exact_edges(keep.tolist(), ring[keep], ring[ell_index], dx, dy, s, t, along_x, p, q)
+    return GellGraph(ell_index=ell_index, vertices=keep.tolist(), e_plus=e_plus, e_minus=e_minus, max_area=max_area)
+
+
+def _identity(rows, ref, dx, dy, s, t, along_x, p, q, prime=None):
+    """NX, DX, NY, DY, s*NX^2*DY and t*NY*DX^2 of build_gell_graphs (t =
+    2*max_area) for the pairs (p, q) of rows: on ring elements, or on int64
+    residues mod a prime below 2^31 with every product reduced, so that
+    products stay below 2^62 and their sums and differences inside int64."""
+    red = (lambda x: x) if prime is None else (lambda x: x % prime)
+    a, b, c = rows.T
+    a0, b0, c0 = ref
+    w = red(b * a0 - a * b0)
+    u = red(c * b0 - b * c0 if along_x else a * c0 - c * a0)
+    dot, cr = red(b * dx - a * dy), red(-(a * dx) - b * dy)
+    (wp, up, dotp, crp), (wq, uq, dotq, crq) = ([v[i] for v in (w, u, dot, cr)] for i in (p, q))
+    nx = red(up * wq - uq * wp)
+    dxx = red(red(wp * wq) * (dx if along_x else dy))
+    ny = red(dotp * crq - dotq * crp)
+    dyy = red(crp * crq)
+    return nx, dxx, ny, dyy, red(red(red(nx * nx) * dyy) * s), red(red(red(ny * dxx) * dxx) * t)
+
+
+def _exact_edges(keep, rows, ref, dx, dy, s, t, along_x, p, q):
+    """The pairs (p, q) of rows that are edges by the exact identity, as
+    plus and minus lists of line pairs (keep[p], keep[q]), in order."""
     e_plus: List[Tuple[int, int]] = []
     e_minus: List[Tuple[int, int]] = []
-    for h in hits.tolist():
-        edge = (keep[int(p[h])], keep[int(q[h])])
+    if not len(p):
+        return e_plus, e_minus
+    nx, dxx, ny, dyy, lhs, rhs = _identity(rows, ref, dx, dy, s, t, along_x, p, q)
+    for h in np.flatnonzero((ny != 0) & ((lhs == rhs) | (lhs == -rhs))).tolist():
         plus = exact_sign(nx[h]) * exact_sign(dxx[h]) == exact_sign(ny[h]) * exact_sign(dyy[h])
-        (e_plus if plus else e_minus).append(edge)
-    return GellGraph(ell_index=ell_index, vertices=keep, e_plus=e_plus, e_minus=e_minus, max_area=max_area)
+        (e_plus if plus else e_minus).append((keep[p[h]], keep[q[h]]))
+    return e_plus, e_minus
+
+
+def _residue_ring(arr: Arrangement):
+    """(P, field, int64 residues of ring_coefficients) for the filter of
+    build_gell_graphs, found once per arrangement and cached on it; None
+    when no prime in the search range suits the arrangement's tower."""
+    if not hasattr(arr, "_residues"):
+        arr._residues, ring = None, ring_coefficients(arr)
+        f = None if arr.radicand is None else _field_of(arr.radicand)
+        for prime in range(PRIME, max(PRIME - PRIME_SEARCH, 2), -4):
+            if (f is None or f.residues(prime)) and _is_prime(prime):
+                phi = [residue(x, f, prime) for x in ring.flat]
+                if None not in phi:
+                    arr._residues = prime, f, np.array(phi, dtype=np.int64).reshape(ring.shape)
+                    break
+    return arr._residues
+
+
+def _is_prime(n: int) -> bool:
+    """For n = 3 (mod 4), so n - 1 = 2*odd: the strong probable-prime test
+    to the bases 2, 3, 5 and 7, which no composite below 3,215,031,751 passes."""
+    return n in (3, 7) or n > 7 and all(pow(a, n >> 1, n) in (1, n - 1) for a in (2, 3, 5, 7))
 
 
 def find_cycle(vertices: List[int], edges: List[Tuple[int, int]]) -> Optional[List[int]]:

@@ -113,7 +113,7 @@ class _Field:
     the object made once for its radicand (see _field_of).
     """
 
-    __slots__ = ("rad", "below", "height", "size", "e", "rhos", "scales", "_m_memo", "_rad_key", "_rad_text")
+    __slots__ = ("rad", "below", "height", "size", "e", "rhos", "scales", "_m_memo", "_r_memo", "_rad_key", "_rad_text")
 
     def __init__(self, rad: Scalar, below: Optional["_Field"]) -> None:
         self.rad = rad
@@ -132,6 +132,7 @@ class _Field:
             self.scales = below.scales + _scale(below.scales, self.e)
         self.size = 1 << self.height
         self._m_memo: dict = {}
+        self._r_memo: dict = {}
         self._rad_key = self._rad_text = None
 
     def monomials(self, bits: int) -> Tuple[tuple, tuple]:
@@ -148,6 +149,23 @@ class _Field:
                 lo += tuple([v * sl >> bits for v in lo])
                 hi += tuple([-(-v * sh >> bits) for v in hi])
             got = self._m_memo[bits] = (lo, hi)
+        return got
+
+    def residues(self, p: int) -> Optional[tuple]:
+        """The basis products m_i mod a prime p = 3 (mod 4), in coordinate
+        order, under s_k -> phi(rho_k)^((p+1)/4): a ring homomorphism phi
+        into F_p when every phi(rho_k) is a square or 0; else None."""
+        got = self._r_memo.get(p)
+        if got is None:
+            low = (1,) if self.below is None else self.below.residues(p)
+            if low is None:
+                return None
+            rho = self.rhos[-1]
+            x = (rho if self.below is None else sum(map(mul, rho, low))) % p
+            r = pow(x, (p + 1) >> 2, p)
+            if r * r % p != x:
+                return None
+            got = self._r_memo[p] = low + tuple([v * r % p for v in low])
         return got
 
     def rad_key(self):
@@ -323,6 +341,17 @@ def _below(x, f: Optional[_Field]) -> Optional[Tuple[tuple, int]]:
     if isinstance(x, Fraction):
         return (x.numerator,) + (0,) * (size - 1), x.denominator
     return None
+
+
+def residue(x: Scalar, f: Optional[_Field], p: int) -> Optional[int]:
+    """phi(x) in F_p for x rational or in a field of f's tower (f None: the
+    rationals), phi the homomorphism of f.residues(p); None when x lies
+    outside that tower or p divides its denominator."""
+    got = _below(x, f)
+    if got is None or not got[1] % p:
+        return None
+    t, d = got
+    return sum(map(mul, t, (1,) if f is None else f.residues(p))) * pow(d, -1, p) % p
 
 
 class QuadExt:

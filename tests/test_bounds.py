@@ -203,6 +203,83 @@ def test_gell_graphs_match_frame_oracle_st_extremal(k):
     assert_gell_graphs_match(arr, lines=lines, areas={Fraction(1), census(arr).max_area})
 
 
+def _exact_stage(mp):
+    """(pairs tested, edges found) per call of the exact stage behind the
+    residue filter of build_gell_graphs."""
+    exact, calls = bounds._exact_edges, []
+
+    def counting(*args):
+        e_plus, e_minus = exact(*args)
+        calls.append((len(args[-1]), len(e_plus) + len(e_minus)))
+        return e_plus, e_minus
+
+    mp.setattr(bounds, "_exact_edges", counting)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(integer_arrangements(), moved_grids()))
+def test_gell_graphs_match_frame_oracle_at_a_small_prime(arr):
+    # mod 7 most non-edges agree, so the exact stage decides them
+    assume(arr.n >= 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "PRIME", 7)
+        assert_gell_graphs_match(arr)
+
+
+@pytest.mark.parametrize(
+    "build, prime", [(pentagon, 11), (lambda: max_chain(1), 131)], ids=["pentagon", "max_chain_1"]
+)
+def test_gell_graphs_match_frame_oracle_towers_at_a_small_prime(monkeypatch, build, prime):
+    # no prime from 11 down suits the chain's height-3 tower; 131 does
+    monkeypatch.setattr(bounds, "PRIME", prime)
+    arr = build()
+    assert bounds._residue_ring(arr)[0] == prime
+    assert_gell_graphs_match(arr)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gell_graphs_match_frame_oracle_st_extremal_at_a_small_prime(monkeypatch, k):
+    monkeypatch.setattr(bounds, "PRIME", 7)
+    arr, ell = st_extremal(k)
+    lines = [arr.lines.index(ell), 0, arr.n // 2] if k == 3 else None
+    assert_gell_graphs_match(arr, lines=lines, areas={Fraction(1)})
+
+
+def test_gell_graphs_without_a_suitable_prime_test_every_pair_exactly(monkeypatch):
+    # 5 is a square neither mod 7 nor mod 3, the whole patched search range
+    monkeypatch.setattr(bounds, "PRIME", 7)
+    arr = pentagon()
+    assert bounds._residue_ring(arr) is None
+    calls = _exact_stage(monkeypatch)
+    graphs = [build_gell_graphs(arr, idx) for idx in range(arr.n)]
+    assert [pairs for pairs, _ in calls] == [len(gg.vertices) * (len(gg.vertices) - 1) // 2 for gg in graphs]
+    assert_gell_graphs_match(arr)
+
+
+def test_residue_filter_leaves_few_pairs_to_the_exact_stage(monkeypatch):
+    arr = random_general_position(30, seed=3)
+    calls = _exact_stage(monkeypatch)
+    for idx in range(arr.n):
+        build_gell_graphs(arr, idx)
+    pairs, edges = map(sum, zip(*calls))
+    assert edges == 3
+    assert pairs <= edges + 0.01 * 12180
+
+
+def test_verify_max_chain_3(monkeypatch):
+    # 26 = 5 + 7*3 maximum-area triangles on 20 lines, each an edge on its
+    # three lines; the filter leaves 78 of the 3,420 pairs to the exact stage
+    calls = _exact_stage(monkeypatch)
+    rep = verify_arrangement(max_chain(3))
+    assert rep.passed and not any(c.skipped for c in rep.checks)
+    by_name = {c.name: c for c in rep.checks}
+    assert by_name["interior_or_parallel_for_max_area"].detail == "26 maximum-area triangles"
+    pairs, edges = map(sum, zip(*calls))
+    assert edges == 78
+    assert pairs - edges < 0.02 * 3420
+
+
 VERIFY_CASES = [
     pentagon(),
     hexgrid(7),
