@@ -185,11 +185,12 @@ def build_gell_graphs(
     return GellGraph(ell_index=ell_index, vertices=keep.tolist(), e_plus=e_plus, e_minus=e_minus, max_area=max_area)
 
 
-def _identity(rows, ref, dx, dy, s, t, along_x, p, q, prime=None):
+def _identity(rows, ref, dx, dy, s, t, along_x, p, q, prime):
     """NX, DX, NY, DY, s*NX^2*DY and t*NY*DX^2 of build_gell_graphs (t =
-    2*max_area) for the pairs (p, q) of rows: on ring elements, or on int64
-    residues mod a prime below 2^31 with every product reduced, so that
-    products stay below 2^62 and their sums and differences inside int64."""
+    2*max_area) for the pairs (p, q) of rows: on ring elements when prime is
+    None, else on int64 residues mod that prime (below 2^31) with every
+    product reduced, so that products stay below 2^62 and their sums and
+    differences inside int64."""
     red = (lambda x: x) if prime is None else (lambda x: x % prime)
     a, b, c = rows.T
     a0, b0, c0 = ref
@@ -211,7 +212,7 @@ def _exact_edges(keep, rows, ref, dx, dy, s, t, along_x, p, q):
     e_minus: List[Tuple[int, int]] = []
     if not len(p):
         return e_plus, e_minus
-    nx, dxx, ny, dyy, lhs, rhs = _identity(rows, ref, dx, dy, s, t, along_x, p, q)
+    nx, dxx, ny, dyy, lhs, rhs = _identity(rows, ref, dx, dy, s, t, along_x, p, q, None)
     for h in np.flatnonzero((ny != 0) & ((lhs == rhs) | (lhs == -rhs))).tolist():
         plus = exact_sign(nx[h]) * exact_sign(dxx[h]) == exact_sign(ny[h]) * exact_sign(dyy[h])
         (e_plus if plus else e_minus).append((keep[p[h]], keep[q[h]]))
