@@ -11,15 +11,17 @@ before they are expanded into triples, the third lines of a pair skip the
 large direction classes of its two lines (third_lines, so a
 three-direction grid expands only its triples with a line of each
 direction, about a third of the rows), and only proper triples are
-reduced.  census.py calls it block by block, so its int64 temporaries are
-O(block) and not O(C(n,3)); called without pairs it covers all C(n,3)
-triples.  combo_index_arrays and combo_rank map between a rank in that
-order and its triple.  Facial triangles have one algorithm for every
-field: sort the crossing points along each line (crossing_ranks, one
-division-free routine for int64 columns and for numpy object columns of
-Python ints or tower elements) and keep the triples whose three sides join
-consecutive crossings (faces_from_ranks), O(n^2 log n) in all.  Exact
-arithmetic in census.py remains the fallback and the ground truth.
+reduced.  It returns masks per row, not positions (CensusRows), so a
+census that writes no table never forms them.  census.py calls it block
+by block, so its int64 temporaries are O(block) and not O(C(n,3)); called
+without pairs it covers all C(n,3) triples.  combo_index_arrays and
+combo_rank map between a rank in that order and its triple.  Facial
+triangles have one algorithm for every field: sort the crossing points
+along each line (crossing_ranks, one division-free routine for int64
+columns and for numpy object columns of Python ints or tower elements)
+and keep the triples whose three sides join consecutive crossings
+(faces_from_ranks), O(n^2 log n) in all.  Exact arithmetic in census.py
+remains the fallback and the ground truth.
 """
 
 from __future__ import annotations
@@ -171,17 +173,35 @@ def third_lines(weights: np.ndarray) -> ThirdLines | None:
                       (first[:, None] + upto).ravel(), (total - upto).ravel(), np.nonzero(keep)[1])
 
 
+class CensusRows(NamedTuple):
+    """census_int64's result: per crossing pair, ``base`` (its triple
+    (i, j, k) sits at base + k) and ``size``, its rows; per row, one per
+    third line, ``k`` and whether the triple is ``concurrent`` or
+    ``proper``; per proper row, the reduced area ``num``/``den``."""
+
+    base: np.ndarray
+    size: np.ndarray
+    k: np.ndarray
+    concurrent: np.ndarray
+    proper: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+
+    def positions(self) -> np.ndarray:
+        """The position of each row among the pairs' triples."""
+        return np.repeat(self.base, self.size) + self.k
+
+
 def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None = None,
-                 weights: np.ndarray | None = None, third: ThirdLines | None = None):
-    """(num, den, conc, pos) for the triples (i, j, k), j < k, of the given
-    (i, j) pairs, or of all C(n,3) triples when pairs is None, with the pair
-    weights from ``weights`` (pair_weights(coeffs) when not given): the
-    reduced area D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights
-    of each proper triple, the positions of the concurrent triples, and
-    those of the proper triples, increasing.  A position counts the pairs'
-    triples in lexicographic order; the others have a parallel pair.  Only
-    the third lines k > j of ``third`` (third_lines) are expanded, or every
-    k > j when it is None."""
+                 weights: np.ndarray | None = None, third: ThirdLines | None = None) -> CensusRows:
+    """The triples (i, j, k), j < k, of the given (i, j) pairs, or of all
+    C(n,3) triples when pairs is None, as CensusRows, with the pair weights
+    from ``weights`` (pair_weights(coeffs) when not given): the reduced area
+    D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights of each proper
+    triple, and per row whether it is concurrent or proper.  A position
+    counts the pairs' triples in lexicographic order, the rows' order; the
+    others have a parallel pair.  Only the third lines k > j of ``third``
+    (third_lines) are expanded, or every k > j when it is None."""
     n = len(coeffs)
     if weights is None:
         weights = pair_weights(coeffs)
@@ -209,24 +229,20 @@ def census_int64(coeffs: np.ndarray, pairs: tuple[np.ndarray, np.ndarray] | None
     den = w12 * w13
     den *= w23
     del ci, cj, w12, w13, w23
-    pos = np.repeat(base, size)
-    pos += K
-    del K
     # one filter after D beats one before it on its six inputs; a zero weight here joins
     # distinct parallel lines, (a_k, b_k) = t*(a_i, b_i), so D = w12*(c_k - t*c_i) != 0
     proper = den != 0
     conc = d == 0
     proper ^= conc
-    conc = pos[conc]
     if not proper.all():
-        pos, d, den = pos[proper], d[proper], den[proper]
+        d, den = d[proper], den[proper]
     num = d * d
     np.abs(den, out=den)
     den *= 2
     g = np.gcd(num, den)
     num //= g
     den //= g
-    return num, den, conc, pos
+    return CensusRows(base, size, K, conc, proper, num, den)
 
 
 def crossing_ranks(coeffs: np.ndarray) -> np.ndarray:

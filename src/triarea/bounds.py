@@ -161,7 +161,7 @@ def build_gell_graphs(
     independent check of it.
     """
     if max_area is None:
-        max_area = census(arr).max_area
+        max_area = census(arr, table=False).max_area
         if max_area is None:
             raise ValueError("arrangement has no proper triangle")
     ring = ring_coefficients(arr)

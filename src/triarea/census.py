@@ -1,35 +1,37 @@
 """Complete triangle-area census of an arrangement.
 
-The census is one table over the C(n,3) triples in lexicographic i<j<k
-order: an int32 area-class id per triple, and one exact area per class.
-Two reserved negative ids mark concurrent triples and triples with a
-parallel pair.  Rational arrangements whose canonical integer coefficients
-certify int64-safe intermediates build the table on the kernels in
-_kernels and keep each area as a reduced int64 (num, den) pair, building
-a ``Fraction`` only for an area a caller reads; everything else builds it
-with exact scalar arithmetic.  Both builders use one formula, the area
-D^2 / (2*|w12*w13*w23|) of arrangement.area_from_weights: the C(n,2) pair
-weights w are computed once, and each triple costs one coefficient
-determinant D and its square (for a tower arrangement the only arithmetic
-in the deep field, since a and b stay in the base field).  The int64
-builder groups the lines by direction once (_kernels.third_lines), so
-that the kernel expands no third line of a large direction class for a
-pair holding a line of it, and runs in blocks of about BLOCK_TRIPLES
-triples: each block is filled with PARALLEL_ID, the kernel's concurrent
-positions get CONCURRENT_ID, and its (num, den) pairs, one per proper
-triple, are grouped into classes (_group: a float64 key sort certified
-pair by pair, exact lexsort as the fallback) whose ids go to the proper
-positions; then the blocks' classes are merged by the same grouping,
-whose sort is kept as the class order.  Memory is the 4-byte table plus one
-block plus O(classes); check_memory refuses, with CensusMemoryError, a
-table and block that do not fit, and once the first block shows the rate
-of new classes, classes that will not fit in the merge.  Counts, the
-memoised area ordering and its extremes, per-line counts, the triples of a
-given area, the bound checks and the colored triple system all read this
-one table.  The coefficient matrix (ring_coefficients) and its int64 copy
-when the gate passes are built once per arrangement, cached on it and
-read-only: select_backend reads the gate from them, and the census, the
-facial triangles (_kernels.crossing_ranks) and the bound checks read them.
+The census classifies the C(n,3) triples in lexicographic i<j<k order: an
+int32 area-class id per triple (the table), and one exact area and one
+triangle count per class.  Two reserved negative ids mark concurrent
+triples and triples with a parallel pair.  Rational arrangements whose
+canonical integer coefficients certify int64-safe intermediates build it
+on the kernels in _kernels and keep each area as a reduced int64 (num,
+den) pair, building a ``Fraction`` only for an area a caller reads;
+everything else builds it with exact scalar arithmetic.  Both builders use
+one formula, the area D^2 / (2*|w12*w13*w23|) of
+arrangement.area_from_weights: the C(n,2) pair weights w are computed
+once, and each triple costs one coefficient determinant D and its square
+(for a tower arrangement the only arithmetic in the deep field, since a
+and b stay in the base field).  The int64 builder groups the lines by
+direction once (_kernels.third_lines), so that the kernel expands no third
+line of a large direction class for a pair holding a line of it, and runs
+in blocks of about BLOCK_TRIPLES triples.  Each block's (num, den) pairs,
+one per proper triple, are grouped into classes (_group: a float64 key
+sort certified pair by pair, exact lexsort as the fallback), which wait
+in a buffer behind the classes found so far until a fold groups it again
+(_classify_int64); the last fold's sort is kept as the class order.  The
+table is written only when asked (table=True, the default), and the
+kernel's row masks become positions only then: counts, extremes and the
+sorted area list read the classes alone, while the triples of an area,
+per-line counts, the bound checks and the colored triple system read the
+table.  Memory is the table when built, one block and the class buffer,
+which follows the classes and not the blocks; check_memory refuses, with
+CensusMemoryError, a table and block that do not fit, and then a buffer
+that would outgrow what they left.  The coefficient matrix
+(ring_coefficients) and its int64 copy when the gate passes are built
+once per arrangement, cached on it and read-only: select_backend reads
+the gate from them, and the census, the facial triangles
+(_kernels.crossing_ranks) and the bound checks read them.
 """
 
 from __future__ import annotations
@@ -68,22 +70,33 @@ PARALLEL_ID = -2
 # doubled here for allocator slack)
 BLOCK_TRIPLES = 2**16
 BLOCK_BYTES_PER_TRIPLE = 144
-# a bound on the bytes per class entry of the blocks' merge (the (num, den,
-# count) buffer, _group's temporaries and the int32 class order the census
-# keeps: on random_arrangement(300), 4.4M entries, tracemalloc counts 75 with
-# the buffer's unwritten part, the resident peak about 67), plus 16 for that
-# order and the float64 key its first read adds to the census (12.2 measured)
-MERGE_BYTES_PER_CLASS = 96 + 16
+# a bound on the bytes per entry of the class buffer: its (num, den, count)
+# columns and a fold's temporaries (tracemalloc counts 79 per entry on
+# random_arrangement(300) and 66 on st_extremal(5), the buffer's unwritten
+# part included), plus 12 per class for the order and float key that the
+# census's first sorted read adds
+BUFFER_BYTES_PER_CLASS = 112
+# a bound on the bytes per line pair (n^2 of them) of the facial triangles,
+# on int64 columns and on object columns: tracemalloc measures 83 on grids
+# and random lines, and 342 on 80 random lines past the int64 gate (Python
+# ints); tower elements take more, but towers reach a few dozen lines
+FACIAL_BYTES_PER_PAIR = (96, 512)
+# blocks fold at once while a table is written and the found classes are
+# fewer than a block (grids); else their classes wait until they number
+# FOLD_RATIO times the found ones and FOLD_ENTRIES
+FOLD_RATIO = 4
+FOLD_ENTRIES = 3 << 20
 
 Triple = Tuple[int, int, int]
 
 
 class AreaCensus:
-    """Census table: an area-class id per triple, plus one exact area and one
-    triangle count per class.  The int64 builder keeps the areas as reduced
-    ``num``/``den`` arrays (None on the exact path) and builds ``areas`` when read."""
+    """Census table: an area-class id per triple (``class_ids``, None when
+    built with table=False), plus one exact area and one triangle count per
+    class.  The int64 builder keeps the areas as reduced ``num``/``den``
+    arrays (None on the exact path) and builds ``areas`` when read."""
 
-    def __init__(self, n: int, class_ids: np.ndarray, backend: str, tally: np.ndarray,
+    def __init__(self, n: int, class_ids: Optional[np.ndarray], backend: str, tally: np.ndarray,
                  areas: Optional[List[Scalar]] = None,
                  num: Optional[np.ndarray] = None, den: Optional[np.ndarray] = None,
                  order: Optional[np.ndarray] = None) -> None:
@@ -97,6 +110,7 @@ class AreaCensus:
         if areas is not None:
             self.areas = areas
         self.parallel_count, self.concurrent_count = int(tally[0]), int(tally[1])
+        self.proper_count = int(tally[2:].sum())
         self.class_counts: List[int] = tally[2:].tolist()
 
     @cached_property
@@ -108,12 +122,14 @@ class AreaCensus:
         return dict(zip(self.areas, self.class_counts))
 
     @property
-    def proper_count(self) -> int:
-        return sum(self.class_counts)
-
-    @property
     def total_triples(self) -> int:
-        return len(self.class_ids)
+        return comb(self.n, 3)
+
+    def table(self) -> np.ndarray:
+        """class_ids, or ValueError on a census built with table=False."""
+        if self.class_ids is None:
+            raise ValueError("a census built with table=False has no class id per triple")
+        return self.class_ids
 
     @property
     def distinct_count(self) -> int:
@@ -205,8 +221,8 @@ class AreaCensus:
     def triples(self, area: Scalar) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index arrays (i, j, k) of the triples whose triangle has exactly
         this area, in lexicographic order."""
-        c = self._class_id(area)
-        ranks = np.flatnonzero(self.class_ids == c) if c is not None else np.zeros(0, np.int64)
+        table, c = self.table(), self._class_id(area)
+        ranks = np.flatnonzero(table == c) if c is not None else np.zeros(0, np.int64)
         return _kernels.combo_index_arrays(self.n, ranks)
 
     def __repr__(self) -> str:
@@ -292,14 +308,17 @@ def select_backend(arr: Arrangement, backend: str = "auto") -> str:
     return "exact"
 
 
-def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
+def census(arr: Arrangement, backend: str = "auto", table: bool = True) -> AreaCensus:
     """Classify every triple once, in lexicographic i<j<k order.
 
     Both builders number the area classes by first appearance in that
-    order, so they produce identical tables.  Raises CensusMemoryError
-    (check_memory) before allocating when the table, and on the int64 path
-    one block, do not fit, and after the first block when the classes to
-    merge will not.
+    order, so they produce identical censuses.  With table=False the int64
+    builder writes no class id per triple (class_ids is None), which only
+    triples(), per_line_counts and ColoredTripleSystem read; the exact
+    builder, whose arithmetic per triple dwarfs the 4 bytes of its id,
+    always keeps its table.  Raises CensusMemoryError (check_memory) before
+    allocating when the table, and on the int64 path one block, do not fit,
+    and before a block whose classes will not fit in the memory left.
     """
     chosen = select_backend(arr, backend)
     triples = comb(arr.n, 3)
@@ -308,8 +327,11 @@ def census(arr: Arrangement, backend: str = "auto") -> AreaCensus:
         areas, class_ids, tally = _classify_exact(arr)
         return AreaCensus(arr.n, class_ids, chosen, tally, areas=areas)
     block = BLOCK_BYTES_PER_TRIPLE * min(triples, BLOCK_TRIPLES)
-    check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
-    num, den, class_ids, tally, order = _classify_int64(_int64_coefficients(arr))
+    if table:
+        room = check_memory(arr.n, 4 * triples + block, f"{triples} triples at 4 bytes each, plus one block")
+    else:
+        room = check_memory(arr.n, block, "one block")
+    num, den, class_ids, tally, order = _classify_int64(_int64_coefficients(arr), table, room)
     return AreaCensus(arr.n, class_ids, chosen, tally, num=num, den=den, order=order)
 
 
@@ -368,15 +390,18 @@ def available_memory() -> Optional[int]:
     return min(found) if found else None
 
 
-def check_memory(n: int, need: int, what: str) -> None:
+def check_memory(n: int, need: int, what: str, have: Optional[int] = None) -> Optional[int]:
     """Refuse, with CensusMemoryError, a census of n lines whose next
-    allocations (``need`` bytes, spelled out by ``what``) exceed
-    available_memory()."""
-    have = available_memory()
+    allocations (``need`` bytes, spelled out by ``what``) exceed ``have``,
+    by default available_memory(); else return the bytes left over, None
+    when unknown."""
+    if have is None:
+        have = available_memory()
     if have is not None and need > have:
         raise CensusMemoryError(
             f"census of n={n} lines needs {need} bytes ({what}), but only {have} bytes are available"
         )
+    return None if have is None else have - need
 
 
 def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray, np.ndarray]:
@@ -398,12 +423,17 @@ def _classify_exact(arr: Arrangement) -> Tuple[List[Scalar], np.ndarray, np.ndar
     return list(class_of), class_ids, np.array(tally, dtype=np.int64)
 
 
-def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+def _classify_int64(coeffs: np.ndarray, table: bool, room: Optional[int]) \
+        -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
     # Blocks of consecutive (i, j) pairs holding about BLOCK_TRIPLES triples
-    # each: the kernel and the grouping of one block write its class ids
-    # straight into the table, so only the table is C(n,3)-sized.
+    # each.  The buffer holds the classes found so far, by first appearance,
+    # then the waiting blocks' classes; a fold groups it again, so the found
+    # ones, first and distinct, keep their ids and new ones come next.  A
+    # block folded at once writes final ids into the table, a waiting one
+    # its buffer indices, rewritten at the fold.  ``room`` bounds the buffer.
     n = len(coeffs)
-    class_ids = np.empty(comb(n, 3), dtype=np.int32)
+    total = comb(n, 3)
+    class_ids = np.empty(total, dtype=np.int32) if table else None
     weights = _kernels.pair_weights(coeffs)
     third = _kernels.third_lines(weights)
     i, j = np.triu_indices(n, k=1)
@@ -411,59 +441,74 @@ def _classify_int64(coeffs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndar
     last = (ends - 1) // BLOCK_TRIPLES  # the block of each pair's last triple
     pair_at = np.concatenate(([0], np.flatnonzero(last[1:] != last[:-1]) + 1, [len(i)]))
     rank_at = np.concatenate(([0], ends))[pair_at]
-    merge = len(pair_at) > 2
-    # (num, den, count) of each block's classes by first appearance, in a
-    # buffer that doubles when full; ids in the table index it until the
-    # merge.  np.empty leaves the unwritten part of a buffer unmapped, so a
-    # doubling holds about twice the entries; a list of the blocks' arrays
-    # and one concatenate peaked 49 MB higher on random_arrangement(300).
-    classes = np.empty((3, min(len(class_ids), 4 * BLOCK_TRIPLES) if merge else 0), dtype=np.int64)
-    found = concurrent = 0
+    # np.empty leaves the unwritten part of the buffer unmapped, so one that
+    # doubles when full holds about twice its entries
+    classes = np.empty((3, min(total, 4 * BLOCK_TRIPLES)), dtype=np.int64)
+    found = held = concurrent = since = 0  # the found classes, the buffer, the concurrent, the first waiting rank
     for p0, p1, t0, t1 in zip(pair_at[:-1], pair_at[1:], rank_at[:-1], rank_at[1:]):
-        num, den, conc, pos = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights, third)
-        block = class_ids[t0:t1]
-        block.fill(PARALLEL_ID)
-        block[conc] = CONCURRENT_ID
-        concurrent += len(conc)
-        ids, first, order = _group(num, den)
-        block[pos] = ids + found if found else ids
-        num, den, count = num[first], den[first], np.bincount(ids, minlength=len(first))
-        del block, conc, pos, ids, first  # or they stay alive through the next block
-        if merge:
-            end = found + len(num)
-            if end > classes.shape[1]:
-                grown = np.empty((3, max(end, 2 * classes.shape[1])), dtype=np.int64)
-                grown[:, :found] = classes[:, :found]
-                classes = grown
-                del grown  # or the name keeps the buffer alive to the end
-            classes[:, found:end] = num, den, count
-            del num, den, count, order
-            found = end
-            if not t0:
-                # the first block's rate of new classes, over every triple,
-                # estimates the entries of the merge
-                rest = len(class_ids) - int(t1)
-                entries = found * len(class_ids) // int(t1)
-                check_memory(
-                    n, 4 * rest + MERGE_BYTES_PER_CLASS * entries,
-                    f"{rest} more triples at 4 bytes each, plus about {entries} classes "
-                    f"to merge at {MERGE_BYTES_PER_CLASS} bytes each",
-                )
-    if merge:
-        # in block order, a class's first entry in the buffer is its first
-        # appearance among all triples
-        merged, first, order = _group(classes[0, :found], classes[1, :found])
-        num, den = classes[0, first], classes[1, first]
+        rows = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights, third)
+        concurrent += np.count_nonzero(rows.concurrent)
+        ids, first, order = _group(rows.num, rows.den)
+        end = held + len(first)
+        if t0 and room is not None:  # the block bound covers the first block's classes
+            check_memory(n, BUFFER_BYTES_PER_CLASS * end, f"up to {end} class entries at "
+                         f"{BUFFER_BYTES_PER_CLASS} bytes each after {t1} of {total} triples", room)
+        if end > classes.shape[1]:
+            grown = np.empty((3, max(end, 2 * classes.shape[1])), dtype=np.int64)
+            grown[:, :held] = classes[:, :held]
+            classes = grown
+            del grown  # or the name keeps the buffer alive to the end
+        classes[:, held:end] = rows.num[first], rows.den[first], np.bincount(ids, minlength=len(first))
         del first
-        count = np.zeros(len(num), dtype=np.int64)
-        np.add.at(count, merged, classes[2, :found])
-        del classes
-        # ids -1 and -2 index the last two entries of the lookup table
-        table = np.concatenate((merged, np.array([PARALLEL_ID, CONCURRENT_ID], dtype=np.int32)))
-        for t0 in range(0, len(class_ids), BLOCK_TRIPLES):
-            block = class_ids[t0:t0 + BLOCK_TRIPLES]
-            block[:] = table[block]
-    parallel = len(class_ids) - concurrent - int(count.sum())
+        ids += held
+        # a block folds at once while a table is written and the classes are
+        # fewer than a block (grids); no other block waits, so its ids are final
+        at_once = table and found < BLOCK_TRIPLES
+        if table:
+            block = class_ids[t0:t1]
+            block.fill(PARALLEL_ID)
+            at = rows.positions()
+            block[at[rows.concurrent]] = CONCURRENT_ID
+            at = at[rows.proper]
+        del rows  # or it stays alive through the fold
+        if not at_once:
+            if table:  # its buffer indices, which the fold rewrites
+                block[at] = ids
+                del block, at
+            del ids
+        lone, held = not held, end  # whether only this block's classes wait
+        # a fold due when fewer triples are left than have passed since the
+        # last one waits for the end, which folds anyway
+        if at_once or t1 == total or (
+                held - found >= max(FOLD_RATIO * found, FOLD_ENTRIES) and total - t1 >= t1 - since):
+            if lone:  # only this block's classes, grouped already
+                merged = None
+                num, den, count = classes[:, :held]
+            else:
+                del order  # the block's, before the fold's own
+                merged, first, order = _group(classes[0, :held], classes[1, :held])
+                num, den = classes[0, first], classes[1, first]
+                del first
+                count = np.zeros(len(num), dtype=np.int64)
+                np.add.at(count, merged, classes[2, :held])
+            found = held = len(num)
+            if t1 < total:
+                classes[:, :found] = num, den, count
+                del num, den, count
+            else:
+                del classes  # the set is now num, den and count
+            if at_once:
+                block[at] = ids if merged is None else merged[ids]
+                del block, at, ids
+            elif table and merged is not None:
+                # ids -1 and -2 index the last two entries of the lookup table
+                merged = np.concatenate((merged, np.array([PARALLEL_ID, CONCURRENT_ID], dtype=np.int32)))
+                for r0 in range(since, t1, BLOCK_TRIPLES):
+                    waiting = class_ids[r0:min(r0 + BLOCK_TRIPLES, t1)]
+                    waiting[:] = merged[waiting]
+            del merged  # or it stays alive to the next fold
+            since = t1
+    parallel = total - concurrent - int(count.sum())
     return num, den, class_ids, np.concatenate(([parallel, concurrent], count)), order
 
 
@@ -528,8 +573,12 @@ def facial_triangles(arr: Arrangement, backend: str = "auto") -> List[Triple]:
     crossing points along each line, on int64 columns when the gate allows
     and on the ring_coefficients object columns otherwise, and
     _kernels.faces_from_ranks keeps the triples whose sides join
-    consecutive crossings."""
-    if select_backend(arr, backend) == "exact":
+    consecutive crossings.  Raises CensusMemoryError (check_memory) when
+    their n x n arrays do not fit."""
+    exact = select_backend(arr, backend) == "exact"
+    pair = FACIAL_BYTES_PER_PAIR[exact]
+    check_memory(arr.n, pair * arr.n**2, f"{arr.n}^2 line pairs at {pair} bytes each for the crossing ranks")
+    if exact:
         faces = _kernels.faces_from_ranks(_kernels.crossing_ranks(ring_coefficients(arr)))
     else:
         faces = _kernels.facial_int64(_int64_coefficients(arr))

@@ -132,7 +132,7 @@ def _cmd_census(args) -> int:
         # pipe-friendly: the facial count alone, without the census
         print(facial_triangle_count(arr, backend=args.backend))
         return EXIT_OK
-    cen = census(arr, backend=args.backend)
+    cen = census(arr, backend=args.backend, table=area is not None)
     report = _base_report("census", digest, arr)
     report["backend"] = cen.backend
     results: dict = {

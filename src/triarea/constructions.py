@@ -151,8 +151,7 @@ def scale_to_unit_min(arr: Arrangement) -> Arrangement:
     """
     from .census import census
 
-    cen = census(arr)
-    m = cen.min_area
+    m = census(arr, table=False).min_area
     if m is None:
         raise ValueError("arrangement has no proper triangle")
     return Arrangement([Line(l.a * m, l.b, l.c) for l in arr.lines])

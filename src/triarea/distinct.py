@@ -44,6 +44,7 @@ class ColoredTripleSystem:
     class: a view of the census ``cen``, which holds one class id per triple."""
 
     def __init__(self, cen: AreaCensus) -> None:
+        cen.table()  # ValueError without one
         self.cen = cen
         self.n = cen.n
 

@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -432,3 +433,19 @@ def test_side_checks_match_intersection_points(build, extreme):
         assert (got.passed, got.witnesses) == (not same_side, same_side[:5])
     if extreme == "min_area":
         assert interior and bool(same_side) == (build is pentagon)
+
+
+def test_gell_graphs_default_max_area_needs_no_census_table(monkeypatch):
+    # the default max_area reads only the census's maximum, so it builds no
+    # table: the graphs come out the same with memory short of the table
+    arr = random_arrangement(30, seed=3)
+    want = [build_gell_graphs(arr, ell, census(arr).max_area) for ell in (0, 7)]
+    census_module = sys.modules["triarea.census"]
+    triples = comb(30, 3)
+    need = 4 * triples + census_module.BLOCK_BYTES_PER_TRIPLE * min(triples, census_module.BLOCK_TRIPLES)
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    with pytest.raises(census_module.CensusMemoryError):
+        census(arr)
+    for ell, graph in zip((0, 7), want):
+        got = build_gell_graphs(arr, ell)
+        assert (got.vertices, got.e_plus, got.e_minus, got.max_area) == (graph.vertices, graph.e_plus, graph.e_minus, graph.max_area)

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import re
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
@@ -22,6 +23,7 @@ from triarea.arrangement import AffineMap, Arrangement, Line, intersect
 from triarea.census import (
     BLOCK_BYTES_PER_TRIPLE,
     PARALLEL_ID,
+    BUFFER_BYTES_PER_CLASS,
     UNIT_AREA,
     AreaCensus,
     CensusMemoryError,
@@ -390,8 +392,8 @@ def _block_census(arr, block):
         return census(arr, backend="numpy")
 
 
-def _assert_same_table(got, want):
-    for name in TABLE_FIELDS:
+def _assert_same_table(got, want, fields=TABLE_FIELDS):
+    for name in fields:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -436,11 +438,15 @@ def test_block_builder_on_grids(grid, n):
     _assert_blocks_agree(grid(n), exact=n <= 12)
 
 
-def _census_json_bytes(arr, block=None):
-    """`census --json` of the arrangement, in blocks of ``block`` triples when given."""
+def _census_json_bytes(arr, block=None, fold=None):
+    """`census --json` of the arrangement, in blocks of ``block`` triples
+    and with folds of at least ``fold`` waiting classes when given."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(census_module, "BLOCK_TRIPLES", block)
+        if fold is not None:
+            mp.setattr(census_module, "FOLD_ENTRIES", fold)
+            mp.setattr(census_module, "FOLD_RATIO", 1)
         path = os.path.join(tmp, "arr.lines")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(arr.to_text())
@@ -483,6 +489,65 @@ def test_handed_class_order_matches_own_sort(arr):
     _assert_same_table(blocks, whole)
     assert np.array_equal(blocks._order, whole._order)
     assert _census_json_bytes(arr, 24) == _census_json_bytes(arr)
+
+
+def _split_census(arr, block, fold, table):
+    # blocks of ``block`` triples; with ``fold`` given, folds once the waiting
+    # classes reach both the set's and ``fold``, so that folds fall mid-census
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "BLOCK_TRIPLES", block)
+        if fold is not None:
+            mp.setattr(census_module, "FOLD_ENTRIES", fold)
+            mp.setattr(census_module, "FOLD_RATIO", 1)
+        return census(arr, backend="numpy", table=table)
+
+
+def _assert_splits_agree(arr, blocks=(1, 5, 24, 64)):
+    # every split of the census into blocks and folds, with and without its
+    # table, against one block with its table: every field, the class order
+    # and the `census --json` bytes
+    whole = _block_census(arr, comb(arr.n, 3) + 1)
+    want_json = _census_json_bytes(arr)
+    for block in blocks:
+        for fold in (None, 0, 3):
+            full, free = (_split_census(arr, block, fold, table) for table in (True, False))
+            _assert_same_table(full, whole)
+            assert free.class_ids is None
+            for name in TABLE_FIELDS[1:]:
+                assert getattr(free, name) == getattr(whole, name) if name.endswith("count") else \
+                    np.array_equal(getattr(free, name), getattr(whole, name)), name
+            assert (free.proper_count, free.total_triples) == (whole.proper_count, whole.total_triples)
+            assert np.array_equal(full._order, whole._order) and np.array_equal(free._order, whole._order)
+            assert _census_json_bytes(arr, block, fold) == want_json
+
+
+RATIONAL_CASES = [arr for arr in CASES if arr.radicand is None]
+
+
+@pytest.mark.parametrize("arr", [*RATIONAL_CASES, hexgrid(12), trigrid(12)], ids=lambda a: f"n{a.n}")
+def test_table_free_census_and_folds_match_one_block(arr):
+    _assert_splits_agree(arr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(near_gate_arrangements(), small_grids()))
+def test_table_free_census_and_folds_match_one_block_near_the_gate(arr):
+    assume(arr.n >= 3)
+    _assert_splits_agree(arr, blocks=(1, 5, 24))
+
+
+def test_table_free_census_reads_counts_and_refuses_table_reads():
+    arr = hexgrid(12)
+    full, free = census(arr), census(arr, table=False)
+    assert free.class_ids is None and full.class_ids is not None
+    assert (free.total_triples, free.proper_count) == (comb(12, 3), sum(full.class_counts))
+    assert free.proper_count == full.proper_count == full.total_triples - full.parallel_count - full.concurrent_count
+    for read in (lambda: free.triples(free.max_area), lambda: per_line_counts(arr, free.max_area, cen=free),
+                 lambda: list(triples_with_area(arr, free.max_area, free)), free.table):
+        with pytest.raises(ValueError, match="table=False"):
+            read()
+    # the exact builder keeps its table: its arithmetic per triple dwarfs it
+    assert census(pentagon(), table=False).class_ids is not None
 
 
 DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1)]
@@ -573,7 +638,9 @@ def test_group_certifies_float_ties(monkeypatch, areas):
         assert third is None  # no two of the four lines are parallel
         ranks = _kernels.combo_rank(len(coeffs), *_kernels.pair_triples(len(coeffs), pairs[1], *pairs))
         num, den = np.array(areas, dtype=np.int64)[ranks].T
-        return num.copy(), den.copy(), np.zeros(0, np.int64), np.arange(len(ranks))
+        every = np.ones(len(ranks), dtype=bool)
+        return _kernels.CensusRows(np.zeros(1, np.int64), np.array([len(ranks)]), np.arange(len(ranks)),
+                                   ~every, every, num.copy(), den.copy())
 
     monkeypatch.setattr(_kernels, "census_int64", kernel)
     monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 2)
@@ -582,6 +649,14 @@ def test_group_certifies_float_ties(monkeypatch, areas):
     assert cen.class_ids.tolist() == [first.index(a) for a in areas]
     assert list(zip(cen.num.tolist(), cen.den.tolist())) == first
     assert cen.class_counts == [areas.count(a) for a in first]
+    # without the table, and with a fold after each block, the same classes
+    for fold in (None, 0):
+        if fold is not None:
+            monkeypatch.setattr(census_module, "FOLD_ENTRIES", fold)
+        for table in (True, False):
+            other = census(arr, backend="numpy", table=table)
+            _assert_same_table(other, cen) if table else _assert_same_table(other, cen, TABLE_FIELDS[1:])
+            assert other.sorted_items() == cen.sorted_items()
     ids, firsts, order = census_module._group(*np.array(areas, dtype=np.int64).T)
     assert ids.tolist() == [first.index(a) for a in areas]
     assert firsts.tolist() == [areas.index(a) for a in first]
@@ -609,27 +684,45 @@ def test_memory_guard_refuses_before_allocating(monkeypatch, backend):
         assert census(arr, backend=backend).total_triples == comb(20, 3)
 
 
-def test_memory_guard_checks_the_class_rate_after_the_first_block(monkeypatch):
+def test_memory_guard_counts_the_classes_it_holds(monkeypatch):
     # random lines give nearly every triple its own class: in blocks of 64
-    # triples the first block shows it, and the merge is then refused
+    # triples the classes grow by about 60 a block, and with room for the
+    # table, one block and 500 classes the census is refused before the
+    # block that would outgrow it
     arr = random_arrangement(20, seed=3)
     monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 64)
     checks = []
 
     def have():
-        checks.append(len(checks))
-        return 10**9 if len(checks) == 1 else 4 * comb(20, 3)
+        checks.append(0)
+        return 4 * comb(20, 3) + BLOCK_BYTES_PER_TRIPLE * 64 + 500 * BUFFER_BYTES_PER_CLASS
 
     monkeypatch.setattr(census_module, "available_memory", have)
-    with pytest.raises(CensusMemoryError, match="n=20 .*more triples at 4 bytes each, plus about .* classes to merge"):
+    with pytest.raises(CensusMemoryError, match=r"n=20 .*\(up to \d+ class entries at \d+ bytes each after \d+ of 1140 triples\)") as exc:
         census(arr, backend="numpy")
-    assert len(checks) == 2
-    # with room for the merge the census runs, checking once per census and
-    # once after the first block
+    assert 500 < int(re.search(r"up to (\d+) class entries", str(exc.value))[1]) < 600
+    assert len(checks) == 1
+    # with room for the classes the census runs, reading the available
+    # memory once per census and never per block
     checks.clear()
     monkeypatch.setattr(census_module, "available_memory", lambda: checks.append(0) or 10**9)
     assert census(arr, backend="numpy").distinct_count > 1000
-    assert len(checks) == 2
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("arr, backend", [(hexgrid(30), "numpy"), (pentagon(), "exact")], ids=["int64", "objects"])
+def test_facial_memory_guard_refuses_before_ranking(monkeypatch, arr, backend):
+    # the crossing ranks' n x n arrays at their measured bytes per pair
+    need = census_module.FACIAL_BYTES_PER_PAIR[backend == "exact"] * arr.n**2
+    want = facial_triangles(arr)
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernels, "crossing_ranks", None)  # never reached
+        mp.setattr(_kernels, "facial_int64", None)
+        with pytest.raises(CensusMemoryError, match=f"n={arr.n} .*needs {need} bytes .*line pairs.*only {need - 1} bytes"):
+            facial_triangles(arr)
+    monkeypatch.setattr(census_module, "available_memory", lambda: need)
+    assert facial_triangles(arr) == want
 
 
 def _fake_files(files):

@@ -408,6 +408,30 @@ def test_census_too_large_exits_two(pentagon_file, capsys, monkeypatch):
     assert err.startswith("error: census of n=5 lines needs 40 bytes") and "only 39 bytes are available" in err
 
 
+def test_census_facial_too_large_exits_two(pentagon_file, capsys, monkeypatch):
+    census_module = sys.modules["triarea.census"]
+    need = census_module.FACIAL_BYTES_PER_PAIR[True] * 5**2  # tower input: object columns
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    code, out, err = run_cli(capsys, ["census", "--facial", pentagon_file])
+    assert code == EXIT_PARSE and out == ""
+    assert err.startswith(f"error: census of n=5 lines needs {need} bytes") and "line pairs" in err
+
+
+def test_census_builds_its_table_only_for_per_line_counts(tmp_path, capsys, monkeypatch):
+    # memory for one block, a byte short of the table as well: counts,
+    # extremes and the area list run, per-line counts are refused
+    path = tmp_path / "grid.lines"
+    assert main(["generate", "hexgrid", "-n", "12", "-o", str(path)]) == EXIT_OK
+    census_module = sys.modules["triarea.census"]
+    triples = 220
+    need = 4 * triples + census_module.BLOCK_BYTES_PER_TRIPLE * triples
+    want = run_cli(capsys, ["census", "--json", str(path)])
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    assert run_cli(capsys, ["census", "--json", str(path)]) == want
+    code, out, err = run_cli(capsys, ["census", "--json", "--per-line", "1", str(path)])
+    assert code == EXIT_PARSE and out == "" and f"needs {need} bytes" in err
+
+
 def test_census_stdin(capsys, monkeypatch, pentagon_file):
     text = open(pentagon_file).read()
     code, out, _ = run_cli(

@@ -2,12 +2,14 @@
 scaling, and random generators."""
 
 import hashlib
+import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from triarea.arrangement import PROPER, intersect, triple_area
+from triarea.arrangement import PROPER, Arrangement, Line, intersect, triple_area
 from triarea.bounds import hexgrid_facial_formula, kobon_bound, trigrid_facial_formula
 from triarea.census import UNIT_AREA, census, facial_triangle_count, per_line_counts
 from triarea.constructions import (
@@ -193,3 +195,22 @@ def test_random_general_position_tight_bounds():
     arr = random_general_position(20, seed=4, coeff_bound=5, offset_bound=6)
     assert not arr.has_parallel_pair()
     assert not arr.concurrent_triples()
+
+
+def test_scale_to_unit_min_needs_no_census_table(monkeypatch):
+    # the minimum area alone is read, so the census builds no table: it runs
+    # with memory for one block, short of the table by a byte
+    arr = hexgrid(40)
+    m = census(arr).min_area
+    want = Arrangement([Line(line.a * m, line.b, line.c) for line in arr.lines])
+    census_module = sys.modules["triarea.census"]
+    triples = comb(40, 3)
+    need = 4 * triples + census_module.BLOCK_BYTES_PER_TRIPLE * min(triples, census_module.BLOCK_TRIPLES)
+    monkeypatch.setattr(census_module, "available_memory", lambda: need - 1)
+    with pytest.raises(census_module.CensusMemoryError):
+        census(arr)
+    scaled = scale_to_unit_min(arr)
+    assert scaled.to_text() == want.to_text()
+    assert hashlib.sha256(scaled.to_text().encode()).hexdigest() == \
+        "d27035edbea5872dc8917264eed42f93f00a49a845441181a94d79cc692f1ce8"
+    assert census(scaled, table=False).min_area == 1

@@ -407,3 +407,10 @@ def test_greedy_on_200_lines_pinned():
     got = extract_rainbow(sys, strategy="greedy", seed=0)
     assert len(got) == 142
     assert hashlib.sha256(repr(got).encode()).hexdigest() == "6d856d4ff15b408f5becf6408500186981bf9ab78d28f85d47107ce789a37fb6"
+
+
+def test_colored_triple_system_needs_the_census_table():
+    arr = random_arrangement(8, seed=1)
+    with pytest.raises(ValueError, match="table=False"):
+        ColoredTripleSystem(census(arr, table=False))
+    assert ColoredTripleSystem(census(arr)).n == 8

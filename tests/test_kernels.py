@@ -37,8 +37,8 @@ def test_census_kernels_agree():
     for seed in (0, 3, 11):
         arr = random_arrangement(14, seed=seed)
         coeffs = _coeffs(arr)
-        num, den, _, _ = _kernels.census_int64(coeffs)
-        assert np.all(np.gcd(num, den) == 1)
+        rows = _kernels.census_int64(coeffs)
+        assert np.all(np.gcd(rows.num, rows.den) == 1)
         fast, exact = census(arr, backend="numpy"), census(arr, backend="exact")
         assert np.array_equal(fast.class_ids, exact.class_ids)
         assert fast.areas == exact.areas
@@ -135,10 +135,10 @@ def test_crossing_keys_past_the_float_range_take_the_exact_sort(monkeypatch):
 def test_status_codes_match_exact():
     arr = hexgrid(8)  # three parallel families
     coeffs = _coeffs(arr)
-    _, _, conc, pos = _kernels.census_int64(coeffs)
+    rows = _kernels.census_int64(coeffs)
     cen = census(arr, backend="exact")
-    assert len(conc) == cen.concurrent_count
-    assert cen.total_triples - len(pos) - len(conc) == cen.parallel_count
+    assert np.count_nonzero(rows.concurrent) == cen.concurrent_count
+    assert cen.total_triples - len(rows.num) - np.count_nonzero(rows.concurrent) == cen.parallel_count
 
 
 def _kernel_reference(coeffs, pairs=None):
@@ -203,9 +203,14 @@ def _assert_kernel_matches(coeffs, pairs=None):
     third = _kernels.third_lines(_kernels.pair_weights(coeffs))
     want_pos, want_areas, want_conc = _kernel_reference(coeffs, pairs)
     for lines in (None, third):
-        num, den, conc, pos = _kernels.census_int64(coeffs, pairs, None, lines)
+        rows = _kernels.census_int64(coeffs, pairs, None, lines)
+        assert rows.concurrent.dtype == rows.proper.dtype == bool
+        assert not (rows.concurrent & rows.proper).any()
+        num, den = rows.num, rows.den
+        every = rows.positions()
+        conc, pos = every[rows.concurrent], every[rows.proper]
         assert all(x.dtype == np.int64 for x in (num, den, conc, pos))
-        assert np.all(np.diff(pos) > 0)
+        assert np.all(np.diff(every) > 0)
         assert pos.tolist() == want_pos
         assert list(zip(num.tolist(), den.tolist())) == want_areas
         assert conc.tolist() == want_conc
@@ -286,7 +291,7 @@ def test_kernel_on_only_parallel_pairs_and_on_no_parallel_pair():
     coeffs = _coeffs(PARALLEL_FREE)
     weights = _kernels.pair_weights(coeffs)
     assert np.count_nonzero(weights) == len(coeffs) * (len(coeffs) - 1)
-    assert _assert_kernel_matches(coeffs) + len(_kernels.census_int64(coeffs)[2]) == comb(len(coeffs), 3)
+    assert _assert_kernel_matches(coeffs) + np.count_nonzero(_kernels.census_int64(coeffs).concurrent) == comb(len(coeffs), 3)
 
 
 def test_int64_gate_rejects_huge_coefficients():
