@@ -19,15 +19,15 @@ in blocks of about BLOCK_TRIPLES triples.  Each block's (num, den) pairs,
 one per proper triple, are grouped into classes (_group: a float64 key
 sort certified pair by pair, exact lexsort as the fallback), which wait
 in a buffer behind the classes found so far until a fold groups it again
-(_classify_int64); the last fold's sort is kept as the class order.  The
+(_fold); the last fold's sort is kept as the class order.  The
 table is written only when asked (table=True, the default), and the
 kernel's row masks become positions only then: counts, extremes and the
 sorted area list read the classes alone, while the triples of an area,
 per-line counts, the bound checks and the colored triple system read the
 table.  Memory is the table when built, one block and the class buffer,
 which follows the classes and not the blocks; check_memory refuses, with
-CensusMemoryError, a table and block that do not fit, and then a buffer
-that would outgrow what they left.  The coefficient matrix
+CensusMemoryError, a table and block that do not fit, and then classes
+that outgrow what they left even after a fold.  The coefficient matrix
 (ring_coefficients) and its int64 copy when the gate passes are built
 once per arrangement, cached on it and read-only: select_backend reads
 the gate from them, and the census, the facial triangles
@@ -81,9 +81,8 @@ BUFFER_BYTES_PER_CLASS = 112
 # and random lines, and 342 on 80 random lines past the int64 gate (Python
 # ints); tower elements take more, but towers reach a few dozen lines
 FACIAL_BYTES_PER_PAIR = (96, 512)
-# blocks fold at once while a table is written and the found classes are
-# fewer than a block (grids); else their classes wait until they number
-# FOLD_RATIO times the found ones and FOLD_ENTRIES
+# the blocks' classes wait until they number FOLD_RATIO times the found
+# ones and FOLD_ENTRIES, or until the buffer would outgrow its room
 FOLD_RATIO = 4
 FOLD_ENTRIES = 3 << 20
 
@@ -318,7 +317,8 @@ def census(arr: Arrangement, backend: str = "auto", table: bool = True) -> AreaC
     builder, whose arithmetic per triple dwarfs the 4 bytes of its id,
     always keeps its table.  Raises CensusMemoryError (check_memory) before
     allocating when the table, and on the int64 path one block, do not fit,
-    and before a block whose classes will not fit in the memory left.
+    and before a block whose classes will not fit in the memory left, even
+    once the waiting classes are folded.
     """
     chosen = select_backend(arr, backend)
     triples = comb(arr.n, 3)
@@ -427,10 +427,10 @@ def _classify_int64(coeffs: np.ndarray, table: bool, room: Optional[int]) \
         -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
     # Blocks of consecutive (i, j) pairs holding about BLOCK_TRIPLES triples
     # each.  The buffer holds the classes found so far, by first appearance,
-    # then the waiting blocks' classes; a fold groups it again, so the found
-    # ones, first and distinct, keep their ids and new ones come next.  A
-    # block folded at once writes final ids into the table, a waiting one
-    # its buffer indices, rewritten at the fold.  ``room`` bounds the buffer.
+    # then the waiting blocks' classes, whose buffer indices the table holds
+    # until a fold (_fold) groups the buffer again.  ``room`` bounds the
+    # buffer: the waiting classes fold before it is outgrown, and the census
+    # is refused only when the classes still do not fit.
     n = len(coeffs)
     total = comb(n, 3)
     class_ids = np.empty(total, dtype=np.int32) if table else None
@@ -449,7 +449,19 @@ def _classify_int64(coeffs: np.ndarray, table: bool, room: Optional[int]) \
         rows = _kernels.census_int64(coeffs, (i[p0:p1], j[p0:p1]), weights, third)
         concurrent += np.count_nonzero(rows.concurrent)
         ids, first, order = _group(rows.num, rows.den)
-        end = held + len(first)
+        new = rows.num[first], rows.den[first], np.bincount(ids, minlength=len(first))
+        if table:
+            block = class_ids[t0:t1]
+            block.fill(PARALLEL_ID)
+            at = rows.positions()
+            block[at[rows.concurrent]] = CONCURRENT_ID
+            at = at[rows.proper]
+        del rows, first
+        end = held + len(new[0])
+        if held > found and room is not None and BUFFER_BYTES_PER_CLASS * end > room:
+            found, _ = _fold(classes, held, class_ids, since, t0)  # the waiting ones may fold into fewer
+            held, since = found, t0
+            end = held + len(new[0])
         if t0 and room is not None:  # the block bound covers the first block's classes
             check_memory(n, BUFFER_BYTES_PER_CLASS * end, f"up to {end} class entries at "
                          f"{BUFFER_BYTES_PER_CLASS} bytes each after {t1} of {total} triples", room)
@@ -458,58 +470,47 @@ def _classify_int64(coeffs: np.ndarray, table: bool, room: Optional[int]) \
             grown[:, :held] = classes[:, :held]
             classes = grown
             del grown  # or the name keeps the buffer alive to the end
-        classes[:, held:end] = rows.num[first], rows.den[first], np.bincount(ids, minlength=len(first))
-        del first
-        ids += held
-        # a block folds at once while a table is written and the classes are
-        # fewer than a block (grids); no other block waits, so its ids are final
-        at_once = table and found < BLOCK_TRIPLES
-        if table:
-            block = class_ids[t0:t1]
-            block.fill(PARALLEL_ID)
-            at = rows.positions()
-            block[at[rows.concurrent]] = CONCURRENT_ID
-            at = at[rows.proper]
-        del rows  # or it stays alive through the fold
-        if not at_once:
-            if table:  # its buffer indices, which the fold rewrites
-                block[at] = ids
-                del block, at
-            del ids
+        classes[:, held:end] = new
+        if table:  # buffer indices, which the next fold rewrites
+            block[at] = ids + held
+            del block, at
+        del ids, new  # before a fold, or the allocator keeps their pages through it
         lone, held = not held, end  # whether only this block's classes wait
         # a fold due when fewer triples are left than have passed since the
         # last one waits for the end, which folds anyway
-        if at_once or t1 == total or (
-                held - found >= max(FOLD_RATIO * found, FOLD_ENTRIES) and total - t1 >= t1 - since):
-            if lone:  # only this block's classes, grouped already
-                merged = None
-                num, den, count = classes[:, :held]
-            else:
-                del order  # the block's, before the fold's own
-                merged, first, order = _group(classes[0, :held], classes[1, :held])
-                num, den = classes[0, first], classes[1, first]
-                del first
-                count = np.zeros(len(num), dtype=np.int64)
-                np.add.at(count, merged, classes[2, :held])
-            found = held = len(num)
-            if t1 < total:
-                classes[:, :found] = num, den, count
-                del num, den, count
-            else:
-                del classes  # the set is now num, den and count
-            if at_once:
-                block[at] = ids if merged is None else merged[ids]
-                del block, at, ids
-            elif table and merged is not None:
-                # ids -1 and -2 index the last two entries of the lookup table
-                merged = np.concatenate((merged, np.array([PARALLEL_ID, CONCURRENT_ID], dtype=np.int32)))
-                for r0 in range(since, t1, BLOCK_TRIPLES):
-                    waiting = class_ids[r0:min(r0 + BLOCK_TRIPLES, t1)]
-                    waiting[:] = merged[waiting]
-            del merged  # or it stays alive to the next fold
-            since = t1
+        if t1 == total or (held - found >= max(FOLD_RATIO * found, FOLD_ENTRIES) and total - t1 >= t1 - since):
+            if not lone:  # else grouped already, and first-appearance ids are final
+                held, order = _fold(classes, held, class_ids, since, t1)
+            found, since = held, t1
+    # a copy frees the buffer, which a fold leaves longer than its classes
+    num, den, count = classes[:, :found] if lone else classes[:, :found].copy()
+    del classes
     parallel = total - concurrent - int(count.sum())
     return num, den, class_ids, np.concatenate(([parallel, concurrent], count)), order
+
+
+def _fold(classes: np.ndarray, held: int, class_ids: Optional[np.ndarray], since: int, upto: int) \
+        -> Tuple[int, Optional[np.ndarray]]:
+    """Group the ``held`` (num, den, count) entries of the class buffer
+    again, in place, and rewrite the buffer indices in class_ids[since:upto]
+    to class ids.  The classes found before, first in the buffer and
+    distinct, keep their ids; new ones come next by first appearance.
+    Returns the number of classes and their order from _group."""
+    merged, first, order = _group(classes[0, :held], classes[1, :held])
+    found = len(first)
+    classes[:2, :found] = classes[:2, first]
+    del first  # before the counts, as the fold's peak
+    count = np.zeros(found, dtype=np.int64)
+    np.add.at(count, merged, classes[2, :held])
+    classes[2, :found] = count
+    del count
+    if class_ids is not None:
+        # ids -1 and -2 index the last two entries of the lookup table
+        merged = np.concatenate((merged, np.array([PARALLEL_ID, CONCURRENT_ID], dtype=np.int32)))
+        for r0 in range(since, upto, BLOCK_TRIPLES):
+            waiting = class_ids[r0:min(r0 + BLOCK_TRIPLES, upto)]
+            waiting[:] = merged[waiting]
+    return found, order
 
 
 def _group(num: np.ndarray, den: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:

@@ -688,7 +688,8 @@ def test_memory_guard_counts_the_classes_it_holds(monkeypatch):
     # random lines give nearly every triple its own class: in blocks of 64
     # triples the classes grow by about 60 a block, and with room for the
     # table, one block and 500 classes the census is refused before the
-    # block that would outgrow it
+    # block that would outgrow it: a fold of the waiting classes leaves
+    # nearly as many
     arr = random_arrangement(20, seed=3)
     monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 64)
     checks = []
@@ -708,6 +709,30 @@ def test_memory_guard_counts_the_classes_it_holds(monkeypatch):
     monkeypatch.setattr(census_module, "available_memory", lambda: checks.append(0) or 10**9)
     assert census(arr, backend="numpy").distinct_count > 1000
     assert len(checks) == 1
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_memory_guard_folds_before_it_refuses(monkeypatch, table):
+    # hexgrid(20) in blocks of 64 triples: 18 blocks hand over 108 block
+    # classes of 9 areas, at most 9 a block.  With room for 20 entries
+    # after the table and one block, the census finishes only by folding
+    # the waiting classes whenever the next block's would not fit.
+    arr = hexgrid(20)
+    monkeypatch.setattr(census_module, "BLOCK_TRIPLES", 64)
+    want = census(arr, backend="numpy")
+    folds, fold = [], census_module._fold
+    monkeypatch.setattr(census_module, "_fold", lambda *args: folds.append(args[1]) or fold(*args))
+    checks = []
+
+    def have():
+        checks.append(0)
+        return 4 * comb(20, 3) * table + BLOCK_BYTES_PER_TRIPLE * 64 + 20 * BUFFER_BYTES_PER_CLASS
+
+    monkeypatch.setattr(census_module, "available_memory", have)
+    cen = census(arr, backend="numpy", table=table)
+    assert len(checks) == 1 and len(folds) > 2 and max(folds) <= 20
+    _assert_same_table(cen, want, TABLE_FIELDS if table else TABLE_FIELDS[1:])
+    assert np.array_equal(cen._order, want._order)
 
 
 @pytest.mark.parametrize("arr, backend", [(hexgrid(30), "numpy"), (pentagon(), "exact")], ids=["int64", "objects"])
